@@ -172,7 +172,7 @@ def _cmd_train(args):
     _no_clobber(args, [os.path.join(args.out, s + ".ckpt") for s in stages])
     dataset = Dataset.load(args.data)
     cfg.write_snapshot(args.out)
-    run_log = RunLog(args.out)
+    run_log = RunLog(args.out, stages)
     if args.stage == "all":
         checkpoints = train_all(dataset, plan, seed=seed, out_dir=args.out,
                                 run_log=run_log)
@@ -244,10 +244,9 @@ def _cmd_ablate(args):
     summaries = run_ablation(cells, args.data, plan, args.out,
                              seed=cfg.seed(), eval_split=args.split)
     for row in summaries:
-        extra = "" if row["psnr_kspace"] is None \
-            else " | kspace %.2f" % row["psnr_kspace"]
-        print("%-20s image psnr %.2f%s"
-              % (row["cell"], row["psnr_image"], extra))
+        scores = ["%s psnr %.2f" % (b, row["psnr_" + b])
+                  for b in ("image", "kspace") if row["psnr_" + b] is not None]
+        print("%-20s %s" % (row["cell"], " | ".join(scores)))
 
 
 def _cmd_render(args):

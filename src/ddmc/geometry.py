@@ -8,6 +8,9 @@ interpolation and zero fill, so transforms compose as
 
     compose(p1, p2): theta = theta1 + theta2, t = R(theta2) t1 + t2
     invert(p):       theta' = -theta,         t' = -R(-theta) t
+
+compose and invert work on [N, 3] arrays of (tx, ty, theta) rows, the
+form the registration net predicts.
 """
 
 import math
@@ -44,21 +47,19 @@ class RigidParams:
 
 
 def invert(p):
-    """The transform that undoes p."""
-    c = math.cos(-p.theta)
-    s = math.sin(-p.theta)
-    return RigidParams(tx=-(c * p.tx - s * p.ty),
-                       ty=-(s * p.tx + c * p.ty),
-                       theta=-p.theta)
+    """The transforms that undo the [N, 3] rows p."""
+    c, s = np.cos(-p[:, 2]), np.sin(-p[:, 2])
+    return np.stack([-(c * p[:, 0] - s * p[:, 1]),
+                     -(s * p[:, 0] + c * p[:, 1]),
+                     -p[:, 2]], axis=1)
 
 
 def compose(p1, p2):
-    """The transform equal to applying p1 first, then p2."""
-    c = math.cos(p2.theta)
-    s = math.sin(p2.theta)
-    return RigidParams(tx=c * p1.tx - s * p1.ty + p2.tx,
-                       ty=s * p1.tx + c * p1.ty + p2.ty,
-                       theta=p1.theta + p2.theta)
+    """Row by row, the transform equal to applying p1 first, then p2."""
+    c, s = np.cos(p2[:, 2]), np.sin(p2[:, 2])
+    return np.stack([c * p1[:, 0] - s * p1[:, 1] + p2[:, 0],
+                     s * p1[:, 0] + c * p1[:, 1] + p2[:, 1],
+                     p1[:, 2] + p2[:, 2]], axis=1)
 
 
 def apply_rigid(img, p):

@@ -1,13 +1,15 @@
-"""Pure-numpy builds of the hot kernels.
+"""The hot kernels: convolution, pooling, upsampling and rigid warps.
 
-These are the fallback path (DDMC_BACKEND=numpy) and the semantic
-reference for the numba builds: both backends must agree to float
-rounding on identical inputs.  Convolutions are stride-1, same-padded,
-odd square kernels only.
+Array-in / array-out numpy functions that the autodiff ops in diffcore
+wrap.  The conv, pool and warp forwards validate their input shapes;
+each backward takes the shapes its forward accepted.  Convolutions are
+stride-1, same-padded, odd square kernels only.
 """
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from .errors import ShapeError
 
 
 def conv2d_forward(x, w, b):
@@ -23,6 +25,17 @@ def conv2d_forward(x, w, b):
     -------
     ndarray, [N, Co, H, W]
     """
+    if x.ndim != 4 or w.ndim != 4 or b.ndim != 1:
+        raise ShapeError("conv2d expects x[N,Ci,H,W], w[Co,Ci,k,k], b[Co]")
+    if w.shape[1] != x.shape[1]:
+        raise ShapeError("conv2d channel mismatch: x has %d input channels, "
+                         "w expects %d" % (x.shape[1], w.shape[1]))
+    if w.shape[2] != w.shape[3] or w.shape[2] % 2 != 1:
+        raise ShapeError("conv2d kernel must be square with odd side, got %s"
+                         % (w.shape[2:],))
+    if b.shape[0] != w.shape[0]:
+        raise ShapeError("conv2d bias length %d != %d output channels"
+                         % (b.shape[0], w.shape[0]))
     k = w.shape[2]
     p = k // 2
     xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
@@ -56,10 +69,13 @@ def conv2d_grad_weights(x, gy, k):
 
 def maxpool2x2_forward(x):
     """2x2 max pooling, stride 2.  Ties pick the first element in
-    row-major scan order so both backends agree bit for bit.
+    row-major scan order.
 
     Returns the pooled map and a uint8 argmax code (2*di + dj).
     """
+    if x.ndim != 4 or x.shape[2] % 2 or x.shape[3] % 2:
+        raise ShapeError("maxpool2x2 needs [N,C,H,W] with even H and W, "
+                         "got %s" % (x.shape,))
     n, c, h, w = x.shape
     blocks = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
     flat = blocks.reshape(n, c, h // 2, w // 2, 4)
@@ -111,7 +127,11 @@ def warp_forward(x, tx, ty, theta):
 
     Bilinear sampling with zero fill outside the source frame.
     """
+    if x.ndim != 4:
+        raise ShapeError("warp expects x[N,C,H,W], got %s" % (x.shape,))
     n, c, h, w = x.shape
+    if not (tx.shape == ty.shape == theta.shape == (n,)):
+        raise ShapeError("warp params must be three [N]=[%d] vectors" % n)
     dtype = x.dtype.type
     sx, sy = _sample_coords(h, w, tx, ty, theta, dtype)
     x0, y0, fx, fy, ins = _corners(sx, sy, h, w)
@@ -128,8 +148,11 @@ def warp_forward(x, tx, ty, theta):
     return out
 
 
-def warp_backward(x, tx, ty, theta, gy, need_input_grad):
-    """Gradients of warp_forward w.r.t. input and per-sample params."""
+def warp_backward(x, tx, ty, theta, gy, need_input_grad=True):
+    """Gradients of warp_forward w.r.t. input and per-sample params.
+
+    Returns (gx or None, gtx, gty, gtheta).
+    """
     n, c, h, w = x.shape
     dtype = x.dtype.type
     cx = dtype((w - 1) / 2.0)

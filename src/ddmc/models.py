@@ -1,18 +1,17 @@
-"""The three trained networks and their single-image surfaces.
+"""The three trained networks.
 
 SynthNet   cross-contrast synthesis, a small U-Net from the reference
            contrast to a target-contrast estimate (one per branch).
 RegNet     rigid registration, a strided conv stack regressing
-           (tx, ty, theta) and warping the moving image with it.  Both
-           branches share one parameter set via
-           shared_registration_binding.
+           (tx, ty, theta) and warping the moving image with it.  The
+           image and k-space branches share one net;
+           register_refined applies it with compositional refinement.
 ReconNet   reconstruction, a U-Net over the fused input channels whose
            output passes through data consistency.
 
-Networks run on [N, 2, H, W] re/im channel tensors; the *_forward
-functions wrap single ComplexImage / KSpaceGrid values.  Parameters
-live in a ParamSet; layers look their tensors up by name at call time,
-which is what makes parameter sharing a pointer swap.
+Networks run on [N, 2, H, W] re/im channel tensors.  Parameters live in
+a ParamSet; layers look their tensors up by name at call time, so a net
+built on loaded parameters reads them in place.
 """
 
 from dataclasses import asdict, dataclass
@@ -24,10 +23,8 @@ from .diffcore import (ParamSet, Tensor, batchnorm2d, concat_channels,
                        upsample2x, warp_rigid)
 from .diffcore.init import bn_param, conv_param, fc_param
 from .errors import ParamError, ShapeError, ValidationError
-from .fourier import (ComplexImage, KSpaceGrid, channels_to_pair,
-                      fft2c_channels, ifft2c_channels, pair_to_channels)
-from .acquisition import data_consistency_channels
-from .geometry import RigidParams, apply_rigid, compose
+from .geometry import compose
+from .kernels import warp_forward
 
 
 @dataclass(frozen=True)
@@ -272,87 +269,29 @@ class RegNet(_Network):
         return p, warped
 
 
-def shared_registration_binding(g_image, g_kspace):
-    """Make both registration branches read and update one ParamSet.
-
-    Returns the shared set (the image branch's).  Layer lookups go
-    through net.params at call time, so swapping the pointer is enough.
-    """
-    if g_image.config != g_kspace.config:
-        raise ValidationError("cannot share registration params across "
-                              "different configs: %s vs %s"
-                              % (g_image.config, g_kspace.config))
-    g_kspace.params = g_image.params
-    return g_image.params
-
-
-def synth_forward(net, src):
-    """Single-image synthesis; the output keeps the input's kind."""
-    kind = type(src)
-    if kind not in (ComplexImage, KSpaceGrid):
-        raise ValidationError("synth_forward needs a ComplexImage or "
-                              "KSpaceGrid, got %s" % kind.__name__)
-    x = pair_to_channels(src)
-    return channels_to_pair(net(x), kind)
-
-
-def reg_forward(net, moving, fixed):
-    """Single-image registration: (RigidParams, warped ComplexImage)."""
-    for img, nm in ((moving, "moving"), (fixed, "fixed")):
-        if not isinstance(img, ComplexImage):
-            raise ValidationError("reg_forward %s must be a ComplexImage"
-                                  % nm)
-    p, warped = net(pair_to_channels(moving), pair_to_channels(fixed))
-    est = RigidParams(float(p.data[0, 0]), float(p.data[0, 1]),
-                      float(p.data[0, 2]))
-    return est, channels_to_pair(warped, ComplexImage)
-
-
 def register_refined(net, moving, fixed, n_iters=3):
-    """Registration with iterative compositional refinement.
+    """Batched registration with iterative compositional refinement.
 
-    Re-runs the net on the moving image warped by the running estimate
-    and composes the residual prediction, so later passes see a nearly
-    aligned pair where the regression is most accurate.  The returned
-    warp resamples the original moving image once.
+    moving and fixed are [N, 2, H, W] arrays.  Each pass re-runs the net
+    on the moving image warped by the running estimate and composes the
+    residual prediction, so later passes see a nearly aligned pair where
+    the regression is most accurate.  Returns the estimate as [N, 3]
+    float64 (tx, ty, theta) rows and the moving image warped by it, a
+    single resample of the original.
     """
     if n_iters < 1:
         raise ValidationError("n_iters must be >= 1, got %r" % n_iters)
-    est, warped = reg_forward(net, moving, fixed)
+    fixed_t = Tensor(fixed)
+
+    def predict(m):
+        p, _ = net(Tensor(m), fixed_t)
+        return p.data.astype(np.float64)
+
+    def warp_by(p):
+        p = p.astype(moving.dtype)
+        return warp_forward(moving, p[:, 0], p[:, 1], p[:, 2])
+
+    est = predict(moving)
     for _ in range(n_iters - 1):
-        dp, _ = reg_forward(net, apply_rigid(moving, est), fixed)
-        est = compose(est, dp)
-    return est, apply_rigid(moving, est)
-
-
-def _kspace_channels_const(y_u):
-    data = np.stack([y_u.real.data, y_u.imag.data])[None]
-    return Tensor(data)
-
-
-def recon_forward(net, fused_input, y_u, mask):
-    """Single-image reconstruction with data consistency.
-
-    fused_input is one ComplexImage/KSpaceGrid or a list of them (all
-    the same kind); the kind selects the branch.  The image branch
-    round-trips its estimate through k-space for consistency with the
-    measured rows; the k-space branch applies consistency directly.
-    """
-    inputs = fused_input if isinstance(fused_input, (list, tuple)) \
-        else [fused_input]
-    kinds = {type(v) for v in inputs}
-    if len(kinds) != 1 or kinds & {ComplexImage, KSpaceGrid} != kinds:
-        raise ValidationError("recon_forward inputs must be all ComplexImage "
-                              "or all KSpaceGrid")
-    kind = kinds.pop()
-    x = concat_channels([pair_to_channels(v) for v in inputs])
-    raw = net(x)
-    if not net.config.dc_enabled:
-        return channels_to_pair(raw, kind)
-    y_ch = _kspace_channels_const(y_u)
-    if kind is ComplexImage:
-        k_pred = fft2c_channels(raw)
-        k_dc = data_consistency_channels(k_pred, y_ch, mask)
-        return channels_to_pair(ifft2c_channels(k_dc), ComplexImage)
-    k_dc = data_consistency_channels(raw, y_ch, mask)
-    return channels_to_pair(k_dc, KSpaceGrid)
+        est = compose(est, predict(warp_by(est)))
+    return est, warp_by(est)

@@ -42,13 +42,11 @@ from .errors import (CheckpointIntegrityError, StageOrderError,
 from .evalkit import metrics as _metrics
 from .fourier import (_fft2c_arrays, _ifft2c_arrays, fft2c_channels,
                       ifft2c_channels)
-from .kernels import warp_forward
 from .models import (ReconNet, ReconNetConfig, RegNet, RegNetConfig,
-                     SynthNet, SynthNetConfig)
-from .objectives import (DOMAIN_MODES, IMAGE_LOSS_KINDS, LossWeights,
-                         stage_loss)
+                     SynthNet, SynthNetConfig, register_refined)
+from .objectives import (DOMAIN_MODES, IMAGE_LOSS_KINDS, STAGES,
+                         LossWeights, stage_loss)
 
-STAGES = ("synthesis", "registration", "reconstruction")
 CONTRAST_MODES = ("single", "concat", "fused")
 CHECKPOINT_VERSION = 1
 
@@ -239,27 +237,36 @@ class Checkpoint:
 
 
 class RunLog:
-    """Append-only CSV logs plus a run summary JSON.
+    """CSV logs of training steps and validation epochs, plus a run
+    summary JSON.
 
-    Loss values land in deterministic CSVs; wall-clock time goes only
-    into run.json so reruns stay byte-comparable on the CSVs.
+    Opening a log for the stages a call trains drops those stages' rows
+    left by an earlier run in the same directory and keeps every other
+    stage's rows, so a rerun rewrites its own rows instead of appending
+    duplicates.  Loss values land in deterministic CSVs; wall-clock time
+    goes only into run.json so reruns stay byte-comparable on the CSVs.
     """
 
     STEP_COLUMNS = ("step", "stage", "mode", "L_i", "L_k", "L_ik", "L_ki",
                     "total")
+    EPOCH_COLUMNS = ("stage", "epoch", "val_loss")
 
-    def __init__(self, out_dir):
+    def __init__(self, out_dir, stages=STAGES):
         os.makedirs(out_dir, exist_ok=True)
         self.out_dir = out_dir
         self.step_path = os.path.join(out_dir, "train_steps.csv")
         self.epoch_path = os.path.join(out_dir, "val_epochs.csv")
         self._t0 = time.time()
-        if not os.path.exists(self.step_path):
-            with open(self.step_path, "w", newline="") as f:
-                csv.writer(f).writerow(self.STEP_COLUMNS)
-        if not os.path.exists(self.epoch_path):
-            with open(self.epoch_path, "w", newline="") as f:
-                csv.writer(f).writerow(("stage", "epoch", "val_loss"))
+        for path, columns in ((self.step_path, self.STEP_COLUMNS),
+                              (self.epoch_path, self.EPOCH_COLUMNS)):
+            col = columns.index("stage")
+            rows = []
+            if os.path.exists(path):
+                with open(path, newline="") as f:
+                    rows = [row for row in list(csv.reader(f))[1:]
+                            if row[col] not in stages]
+            with open(path, "w", newline="") as f:
+                csv.writer(f).writerows([columns] + rows)
 
     @staticmethod
     def _fmt(v):
@@ -401,8 +408,9 @@ def _stack(rt_map, ids, attr):
     return np.stack([getattr(rt_map[r], attr) for r in ids])
 
 
-def _apply_chunked(fn, x, chunk=16):
-    parts = [fn(x[i:i + chunk]) for i in range(0, len(x), chunk)]
+def _apply_chunked(fn, *arrays, chunk=16):
+    parts = [fn(*(a[i:i + chunk] for a in arrays))
+             for i in range(0, len(arrays[0]), chunk)]
     return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
 
@@ -410,45 +418,14 @@ def _frozen_synth(net, x):
     return _apply_chunked(lambda a: net(Tensor(a)).data, x)
 
 
-def _compose_rows(a, b):
-    """Vectorised geometry.compose over [N, 3] parameter rows."""
-    c, s = np.cos(b[:, 2]), np.sin(b[:, 2])
-    return np.stack([c * a[:, 0] - s * a[:, 1] + b[:, 0],
-                     s * a[:, 0] + c * a[:, 1] + b[:, 1],
-                     a[:, 2] + b[:, 2]], axis=1)
-
-
-def _frozen_register(net, mov, fixed, n_iters=1):
-    """Warp mov onto fixed with the frozen net, refining n_iters times.
-
-    Each pass re-predicts from the original moving image warped by the
-    running estimate, so the output is always a single resample.
-    """
-    def fn(pair):
-        m, f = pair[:, 0], pair[:, 1]
-        p, _ = net(Tensor(m), Tensor(f))
-        return p.data
-
-    def params_for(m):
-        return _apply_chunked(fn, np.stack([m, fixed], axis=1))
-
-    def warp_by(p):
-        return warp_forward(mov, p[:, 0].astype(mov.dtype),
-                            p[:, 1].astype(mov.dtype),
-                            p[:, 2].astype(mov.dtype))
-
-    est = params_for(mov).astype(np.float64)
-    for _ in range(n_iters - 1):
-        est = _compose_rows(est, params_for(warp_by(est)).astype(np.float64))
-    return warp_by(est)
-
-
 def compute_stage_inputs(stage, plan, frozen, rt_map, ids):
     """Per-record input arrays for a stage, with earlier stages applied.
 
     Everything upstream of the trained stage is constant, so each
-    record's inputs are computed once here instead of every epoch.
-    Returns {record_id: {name: array}}.
+    record's inputs are computed once here instead of every epoch.  In
+    fused mode the reconstruction inputs also hold prior_<branch>: the
+    registered synthetic image, in image space, that the branch's
+    network input is built from.  Returns {record_id: {name: array}}.
     """
     ids = list(ids)
     branches = plan.branches()
@@ -493,18 +470,23 @@ def compute_stage_inputs(stage, plan, frozen, rt_map, ids):
             put("in_kspace", np.concatenate(
                 [_stack(rt_map, ids, "k_ref_mv"), y_u], axis=1))
     else:
-        g = frozen["registration"]
+        def register(mov):
+            return _apply_chunked(
+                lambda m, f: register_refined(frozen["registration"], m, f,
+                                              plan.reg_refine_iters)[1],
+                mov, x_u)
+
         if "image" in branches:
             syn = _frozen_synth(frozen["synth_image"],
                                 _stack(rt_map, ids, "x_ref_mv"))
-            reg = _frozen_register(g, syn, x_u,
-                                   plan.reg_refine_iters)
+            reg = register(syn)
+            put("prior_image", reg)
             put("in_image", np.concatenate([reg, x_u], axis=1))
         if "kspace" in branches:
             syn_k = _frozen_synth(frozen["synth_kspace"],
                                   _stack(rt_map, ids, "k_ref_mv"))
-            reg_k = _frozen_register(g, _ifft_ch(syn_k), x_u,
-                                     plan.reg_refine_iters)
+            reg_k = register(_ifft_ch(syn_k))
+            put("prior_kspace", reg_k)
             put("in_kspace", np.concatenate([_fft_ch(reg_k), y_u], axis=1))
     put("y_u", y_u)
     for r in ids:
@@ -543,15 +525,21 @@ def forward_stage(stage, plan, nets, batch):
             _, warped_k = g(Tensor(batch["mov_kspace"]), fixed)
             out["kspace"] = fft2c_channels(warped_k)
     elif stage == "reconstruction":
+        # data consistency, unless the net's config turns it off; the
+        # image branch round-trips its estimate through k-space for it
         if "image" in branches:
-            raw = nets["recon_image"](Tensor(batch["in_image"]))
-            k_dc = data_consistency_channels(fft2c_channels(raw),
-                                             batch["y_u"], batch["plane"])
-            out["image"] = ifft2c_channels(k_dc)
+            net = nets["recon_image"]
+            out["image"] = net(Tensor(batch["in_image"]))
+            if net.config.dc_enabled:
+                k_dc = data_consistency_channels(fft2c_channels(out["image"]),
+                                                 batch["y_u"], batch["plane"])
+                out["image"] = ifft2c_channels(k_dc)
         if "kspace" in branches:
-            raw_k = nets["recon_kspace"](Tensor(batch["in_kspace"]))
-            out["kspace"] = data_consistency_channels(raw_k, batch["y_u"],
-                                                      batch["plane"])
+            net = nets["recon_kspace"]
+            out["kspace"] = net(Tensor(batch["in_kspace"]))
+            if net.config.dc_enabled:
+                out["kspace"] = data_consistency_channels(
+                    out["kspace"], batch["y_u"], batch["plane"])
     else:
         raise ValidationError("unknown stage %r, expected one of %s"
                               % (stage, ", ".join(STAGES)))
@@ -812,6 +800,7 @@ def evaluate(checkpoints, dataset, split, plan, with_outputs=False,
     # stage name -> branch -> {record_id: [2, H, W] image-space estimate}
     estimates = {s: {b: {} for b in branches} for s in required}
 
+    recon_in = compute_stage_inputs("reconstruction", plan, nets, rt_map, ids)
     if plan.contrast_mode == "fused":
         if "image" in branches:
             syn_al = _frozen_synth(nets["synth_image"],
@@ -823,23 +812,11 @@ def evaluate(checkpoints, dataset, split, plan, with_outputs=False,
                                      _stack(rt_map, ids, "k_ref_al"))
             for r, row in zip(ids, _ifft_ch(syn_al_k)):
                 estimates["synthesis"]["kspace"][r] = row
-        x_u = _stack(rt_map, ids, "x_u")
-        if "image" in branches:
-            mov = _frozen_synth(nets["synth_image"],
-                                _stack(rt_map, ids, "x_ref_mv"))
-            reg = _frozen_register(nets["registration"], mov, x_u,
-                                   plan.reg_refine_iters)
-            for r, row in zip(ids, reg):
-                estimates["registration"]["image"][r] = row
-        if "kspace" in branches:
-            mov_k = _ifft_ch(_frozen_synth(nets["synth_kspace"],
-                                           _stack(rt_map, ids, "k_ref_mv")))
-            reg_k = _frozen_register(nets["registration"], mov_k, x_u,
-                                     plan.reg_refine_iters)
-            for r, row in zip(ids, reg_k):
-                estimates["registration"]["kspace"][r] = row
+        for branch in branches:
+            for r in ids:
+                estimates["registration"][branch][r] = \
+                    recon_in[r]["prior_" + branch]
 
-    recon_in = compute_stage_inputs("reconstruction", plan, nets, rt_map, ids)
     for ids_chunk in _batched(ids, chunk):
         batch = _gather_batch(recon_in, rt_map, ids_chunk)
         out = forward_stage("reconstruction", plan, nets, batch)

@@ -25,14 +25,15 @@ from ddmc.diffcore import (AdamState, Tensor, adam_step, batchnorm2d,
                            magnitude_channels, maxpool2x2, mse, relu,
                            upsample2x, warp_rigid)
 from ddmc.evalkit import PSNR_CAP, psnr, ssim
-from ddmc.fourier import ComplexImage, fft2c, ifft2c
+from ddmc.fourier import (ComplexImage, fft2c, fft2c_channels, ifft2c,
+                          pair_to_channels)
 from ddmc.kernels import warp_forward
 from ddmc.models import (ReconNet, ReconNetConfig, RegNet, RegNetConfig,
-                         recon_forward, register_refined)
+                         register_refined)
 from ddmc.objectives import (LossWeights, parseval_collapse_check,
                              stage_loss, weighted_total)
 from ddmc.pipeline import (Checkpoint, RunLog, StagePlan, StageSettings,
-                           evaluate, train_all, train_stage)
+                           evaluate, forward_stage, train_all, train_stage)
 
 
 @contextlib.contextmanager
@@ -158,23 +159,31 @@ def test_criterion_2_acquisition():
 
         # every reconstruction output keeps the measured rows < 1e-6
         rows = mask.row_indices()
-        for in_ch, inputs in ((2, [zero_filled(y_u)]),
-                              (4, [img, zero_filled(y_u)])):
+        y_ch = pair_to_channels(y_u).data
+        x_ch = pair_to_channels(zero_filled(y_u)).data
+        image_plan = StagePlan(domain_mode="image")
+        for in_ch, inputs in ((2, x_ch),
+                              (4, np.concatenate(
+                                  [pair_to_channels(img).data, x_ch], 1))):
             net = ReconNet(ReconNetConfig(in_channels=in_ch, base_channels=4,
                                           depth=2),
                            rng=np.random.default_rng(8)).eval_mode()
-            out = recon_forward(net, inputs, y_u, mask)
-            k_out = fft2c(out)
-            err = max(
-                np.max(np.abs(k_out.real.data[rows] - y_u.real.data[rows])),
-                np.max(np.abs(k_out.imag.data[rows] - y_u.imag.data[rows])))
+            out = forward_stage("reconstruction", image_plan,
+                                {"recon_image": net},
+                                {"in_image": inputs, "y_u": y_ch,
+                                 "plane": mask})
+            k_out = fft2c_channels(out["image"]).data
+            err = np.max(np.abs(k_out[..., rows, :] - y_ch[..., rows, :]))
             assert err < 1e-6
         k_net = ReconNet(ReconNetConfig(in_channels=2, base_channels=4,
                                         depth=2),
                          rng=np.random.default_rng(9)).eval_mode()
-        k_out = recon_forward(k_net, [y_u], y_u, mask)
-        assert np.array_equal(k_out.real.data[rows], y_u.real.data[rows])
-        assert np.array_equal(k_out.imag.data[rows], y_u.imag.data[rows])
+        k_out = forward_stage("reconstruction",
+                              StagePlan(domain_mode="kspace"),
+                              {"recon_kspace": k_net},
+                              {"in_kspace": y_ch, "y_u": y_ch,
+                               "plane": mask})["kspace"].data
+        assert np.array_equal(k_out[..., rows, :], y_ch[..., rows, :])
 
 
 def test_criterion_3_loss_identities():
@@ -254,16 +263,10 @@ def test_criterion_4_registration_recovery(tmp_path):
                 ep_total += 1
 
         net.eval_mode()
-        err_t, err_r = [], []
-        for row_m, row_f, want_row in zip(mov_te, fix_te, want):
-            est, _ = register_refined(
-                net, ComplexImage.from_arrays(row_m[0], row_m[1]),
-                ComplexImage.from_arrays(row_f[0], row_f[1]), n_iters=4)
-            err_t.append(abs(est.tx - want_row[0]))
-            err_t.append(abs(est.ty - want_row[1]))
-            err_r.append(abs(est.theta - want_row[2]))
-        mae_px = float(np.mean(err_t))
-        mae_deg = float(np.degrees(np.mean(err_r)))
+        est, _ = register_refined(net, mov_te, fix_te, n_iters=4)
+        err = np.abs(est - want)
+        mae_px = float(np.mean(err[:, :2]))
+        mae_deg = float(np.degrees(np.mean(err[:, 2])))
         print("  registration MAE %.3f px, %.3f deg over %d pairs (%.0fs)"
               % (mae_px, mae_deg, len(fix_te), time.time() - t0))
         assert mae_px <= 1.0

@@ -138,6 +138,25 @@ def test_train_eval_render_ablate_end_to_end(tmp_path, capsys):
     assert (run_dir / "reconstruction.ckpt").exists()
     assert (run_dir / "config_resolved.cfg").exists()
     assert (run_dir / "run.json").exists()
+    logs = ("train_steps.csv", "val_epochs.csv")
+    first = [(run_dir / name).read_bytes() for name in logs]
+
+    # rerunning the train into the same directory rewrites its log rows
+    # instead of appending duplicates
+    assert run(["train", "--data", data, "--out", run_dir] + single) == 0
+    assert [(run_dir / name).read_bytes() for name in logs] == first
+
+    # a stage-by-stage chain, with its last stage rerun, logs each
+    # stage's rows once, exactly as one --stage all call does
+    fused_all, fused_steps = tmp_path / "fused_all", tmp_path / "fused_steps"
+    assert run(["train", "--data", data, "--out", fused_all] + FAST) == 0
+    for stage in ("synthesis", "registration", "reconstruction",
+                  "reconstruction"):
+        assert run(["train", "--data", data, "--out", fused_steps,
+                    "--stage", stage] + FAST) == 0
+    for name in logs:
+        assert (fused_all / name).read_bytes() == \
+            (fused_steps / name).read_bytes(), name
 
     eval_dir = tmp_path / "eval"
     assert run(["eval", "--data", data, "--ckpt-dir", run_dir,
@@ -154,12 +173,18 @@ def test_train_eval_render_ablate_end_to_end(tmp_path, capsys):
     assert pgms and (render_dir / "report.csv").exists()
 
     ab_dir = tmp_path / "ablate"
+    capsys.readouterr()
     assert run(["ablate", "--data", data, "--out", ab_dir,
-                "--grid", "dual,single,4x"] + FAST) == 0
+                "--grid", "dual,single,4x;kspace,single,4x"] + FAST) == 0
     with open(ab_dir / "summary.csv") as f:
         rows = list(csv.reader(f))
-    assert len(rows) == 2
+    assert len(rows) == 3
     assert rows[1][0] == "single-dual-4x"
+    assert rows[2][0] == "single-kspace-4x"
+    printed = capsys.readouterr().out.splitlines()
+    assert "image psnr" in printed[0] and "kspace psnr" in printed[0]
+    assert printed[1].startswith("single-kspace-4x")
+    assert "kspace psnr" in printed[1] and "image" not in printed[1]
 
     # rerunning the eval reproduces its CSVs byte for byte
     eval2 = tmp_path / "eval2"

@@ -100,7 +100,8 @@ def test_augment_bounds_over_many_draws():
 def test_augment_inverse_warp_recovers_reference():
     rec = gen_phantom_pair(SPEC, 4)
     moved = augment_motion(rec, 10.0, 15.0, 3.0, seed=11)
-    back = apply_rigid(moved.ref_moved, invert(moved.true_motion))
+    undo = invert(moved.true_motion.as_array()[None])[0]
+    back = apply_rigid(moved.ref_moved, RigidParams(*undo))
     core = binary_erosion(rec.brain_mask, iterations=3)
     err = (back.real.data - rec.ref_aligned.real.data)[core]
     assert float((err ** 2).mean()) < 1e-3

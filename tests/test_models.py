@@ -1,4 +1,4 @@
-"""Network surfaces: shapes, sharing, identity init, consistency wiring."""
+"""Networks: shapes, identity init, refinement, consistency wiring."""
 
 import numpy as np
 import pytest
@@ -6,11 +6,11 @@ import pytest
 from ddmc.acquisition import make_mask, undersample, zero_filled
 from ddmc.diffcore import Tensor
 from ddmc.errors import ParamError, ShapeError, ValidationError
-from ddmc.fourier import ComplexImage, KSpaceGrid, fft2c
+from ddmc.fourier import (ComplexImage, fft2c, fft2c_channels,
+                          pair_to_channels)
 from ddmc.models import (ReconNet, ReconNetConfig, RegNet, RegNetConfig,
-                         SynthNet, SynthNetConfig, recon_forward, reg_forward,
-                         register_refined, shared_registration_binding,
-                         synth_forward)
+                         SynthNet, SynthNetConfig, register_refined)
+from ddmc.pipeline import StagePlan, forward_stage
 
 
 def rng_for(k):
@@ -21,6 +21,11 @@ def small_image(rng, h=16, w=16):
     return ComplexImage.from_arrays(
         rng.standard_normal((h, w)).astype(np.float32),
         rng.standard_normal((h, w)).astype(np.float32))
+
+
+def channels(pair):
+    """A single (real, imag) pair as a [1, 2, H, W] array."""
+    return pair_to_channels(pair).data
 
 
 def test_synth_net_shapes():
@@ -65,19 +70,14 @@ def test_register_refined_zero_init_is_identity():
     net = RegNet(RegNetConfig(in_size=16, channels=(4, 8), fc_hidden=8),
                  rng=rng_for(21)).eval_mode()
     rng = np.random.default_rng(22)
-    mov = ComplexImage.from_arrays(
-        rng.standard_normal((16, 16)).astype(np.float32),
-        rng.standard_normal((16, 16)).astype(np.float32))
-    fix = ComplexImage.from_arrays(
-        rng.standard_normal((16, 16)).astype(np.float32),
-        rng.standard_normal((16, 16)).astype(np.float32))
+    mov = channels(small_image(rng))
+    fix = channels(small_image(rng))
     est, warped = register_refined(net, mov, fix, n_iters=3)
-    assert est.tx == 0.0 and est.ty == 0.0 and est.theta == 0.0
-    assert np.array_equal(warped.real.data, mov.real.data)
-    assert np.array_equal(warped.imag.data, mov.imag.data)
+    assert est.shape == (1, 3) and not est.any()
+    assert np.array_equal(warped, mov)
     one, _ = register_refined(net, mov, fix, n_iters=1)
-    direct, _ = reg_forward(net, mov, fix)
-    assert (one.tx, one.ty, one.theta) == (direct.tx, direct.ty, direct.theta)
+    direct, _ = net(Tensor(mov), Tensor(fix))
+    assert np.array_equal(one, direct.data)
     with pytest.raises(ValidationError):
         register_refined(net, mov, fix, n_iters=0)
 
@@ -98,26 +98,6 @@ def test_reg_net_shape_checks():
         RegNet(RegNetConfig(in_size=20, channels=(4, 8, 8)), rng=rng_for(0))
 
 
-def test_shared_registration_binding():
-    cfg = RegNetConfig(in_size=16, channels=(4, 8), fc_hidden=8)
-    gi = RegNet(cfg, rng=rng_for(6))
-    gk = RegNet(cfg, rng=rng_for(7))
-    shared = shared_registration_binding(gi, gk)
-    assert gi.params is gk.params is shared
-    rng = np.random.default_rng(8)
-    mov = Tensor(rng.standard_normal((1, 2, 16, 16)).astype(np.float32))
-    fix = Tensor(rng.standard_normal((1, 2, 16, 16)).astype(np.float32))
-    gi.eval_mode()
-    gk.eval_mode()
-    pa, _ = gi(mov, fix)
-    pb, _ = gk(mov, fix)
-    assert np.array_equal(pa.data, pb.data)
-    with pytest.raises(ValidationError):
-        shared_registration_binding(
-            gi, RegNet(RegNetConfig(in_size=16, channels=(4, 4)),
-                       rng=rng_for(9)))
-
-
 def test_configs_roundtrip():
     for cfg in (SynthNetConfig(base_channels=8, depth=2),
                 RegNetConfig(in_size=32, channels=(8, 8), fc_hidden=16),
@@ -131,55 +111,30 @@ def test_loaded_params_shape_checked():
         SynthNet(SynthNetConfig(base_channels=8, depth=2), params=net.params)
 
 
-def test_synth_forward_keeps_kind():
-    net = SynthNet(SynthNetConfig(base_channels=4, depth=2),
-                   rng=rng_for(11)).eval_mode()
-    rng = np.random.default_rng(12)
-    img = small_image(rng)
-    assert isinstance(synth_forward(net, img), ComplexImage)
-    k = fft2c(img)
-    assert isinstance(synth_forward(net, k), KSpaceGrid)
-    with pytest.raises(ValidationError):
-        synth_forward(net, img.real.data)
-
-
-def test_reg_forward_surface():
-    net = RegNet(RegNetConfig(in_size=16, channels=(4, 8), fc_hidden=8),
-                 rng=rng_for(13)).eval_mode()
-    rng = np.random.default_rng(14)
-    mov, fix = small_image(rng), small_image(rng)
-    p, warped = reg_forward(net, mov, fix)
-    assert p.tx == 0.0 and p.ty == 0.0 and p.theta == 0.0
-    assert isinstance(warped, ComplexImage)
-    with pytest.raises(ValidationError):
-        reg_forward(net, fft2c(mov), fix)
-
-
 def test_recon_forward_applies_data_consistency():
     rng = np.random.default_rng(15)
     img = small_image(rng)
     mask = make_mask(16, 4, n_center=4, seed=3)
     y_u = undersample(fft2c(img), mask)
     x_u = zero_filled(y_u)
-    net = ReconNet(ReconNetConfig(in_channels=4, base_channels=4, depth=2),
-                   rng=rng_for(16)).eval_mode()
-    out = recon_forward(net, [small_image(rng), x_u], y_u, mask)
-    assert isinstance(out, ComplexImage)
-    k_out = fft2c(out)
+    nets = {"recon_image": ReconNet(
+                ReconNetConfig(in_channels=4, base_channels=4, depth=2),
+                rng=rng_for(16)).eval_mode(),
+            "recon_kspace": ReconNet(
+                ReconNetConfig(in_channels=4, base_channels=4, depth=2),
+                rng=rng_for(17)).eval_mode()}
+    batch = {"in_image": np.concatenate(
+                 [channels(small_image(rng)), channels(x_u)], axis=1),
+             "in_kspace": np.concatenate(
+                 [channels(fft2c(small_image(rng))), channels(y_u)], axis=1),
+             "y_u": channels(y_u), "plane": mask}
+    out = forward_stage("reconstruction", StagePlan(domain_mode="dual"),
+                        nets, batch)
     rows = mask.row_indices()
-    err = max(np.max(np.abs(k_out.real.data[rows] - y_u.real.data[rows])),
-              np.max(np.abs(k_out.imag.data[rows] - y_u.imag.data[rows])))
-    assert err < 1e-5
-
-    k_net = ReconNet(ReconNetConfig(in_channels=4, base_channels=4, depth=2),
-                     rng=rng_for(17)).eval_mode()
-    k_out = recon_forward(k_net, [fft2c(small_image(rng)), y_u], y_u, mask)
-    assert isinstance(k_out, KSpaceGrid)
-    assert np.array_equal(k_out.real.data[rows], y_u.real.data[rows])
-    assert np.array_equal(k_out.imag.data[rows], y_u.imag.data[rows])
-
-    with pytest.raises(ValidationError):
-        recon_forward(net, [img, fft2c(img)], y_u, mask)
+    y = channels(y_u)[0][:, rows]
+    k_out = fft2c_channels(out["image"]).data[0]
+    assert np.max(np.abs(k_out[:, rows] - y)) < 1e-5
+    assert np.array_equal(out["kspace"].data[0][:, rows], y)
 
 
 def test_recon_forward_dc_disabled():
@@ -190,10 +145,13 @@ def test_recon_forward_dc_disabled():
     net = ReconNet(ReconNetConfig(in_channels=2, base_channels=4, depth=2,
                                   dc_enabled=False), rng=rng_for(19))
     net.eval_mode()
-    out = recon_forward(net, img, y_u, mask)
-    k_out = fft2c(out)
+    out = forward_stage("reconstruction", StagePlan(domain_mode="image"),
+                        {"recon_image": net},
+                        {"in_image": channels(img), "y_u": channels(y_u),
+                         "plane": mask})
+    k_out = fft2c_channels(out["image"]).data[0]
     rows = mask.row_indices()
-    assert not np.allclose(k_out.real.data[rows], y_u.real.data[rows])
+    assert not np.allclose(k_out[0][rows], channels(y_u)[0, 0][rows])
 
 
 def test_eval_mode_deterministic():

@@ -10,6 +10,7 @@ import pytest
 from ddmc.datagen import Dataset, build_dataset
 from ddmc.errors import (CheckpointIntegrityError, StageOrderError,
                          TruncatedFileError, ValidationError)
+from ddmc.models import RegNet, SynthNet
 from ddmc.pipeline import (Checkpoint, RunLog, StagePlan, StageSettings,
                            cell_name, check_stage_order, evaluate,
                            run_ablation, train_all, train_stage)
@@ -219,13 +220,30 @@ def test_evaluate_with_outputs_panels(dataset):
     assert "reconstruction" in panels
 
 
+def test_fused_evaluate_computes_each_result_once(dataset, monkeypatch):
+    plan = tiny_plan(reg_refine_iters=2)
+    checkpoints = train_all(dataset, plan, seed=3)
+    calls = {SynthNet: 0, RegNet: 0}
+    for cls in calls:
+        def counted(self, *args, _cls=cls, _orig=cls.__call__):
+            calls[_cls] += 1
+            return _orig(self, *args)
+        monkeypatch.setattr(cls, "__call__", counted)
+    evaluate(checkpoints, dataset, "test", plan)
+    n_branches, n_chunks = 2, 1
+    assert calls[RegNet] == plan.reg_refine_iters * n_branches * n_chunks
+    # per branch per chunk: the aligned reference, scored as the
+    # synthesis stage, and the moved reference, which feeds registration
+    assert calls[SynthNet] == 2 * n_branches * n_chunks
+
+
 def test_evaluate_missing_checkpoint_raises(dataset):
     plan = tiny_plan()
     with pytest.raises(StageOrderError):
         evaluate({}, dataset, "test", plan)
 
 
-def test_cell_name_and_ablation(dataset, tmp_path):
+def test_cell_name_and_ablation(dataset, tmp_path, monkeypatch):
     assert cell_name("fused", "dual", 4) == "fused-dual-4x"
     root = dataset  # reuse records by regenerating a root on disk
     ds_root = str(tmp_path / "ds")
@@ -241,8 +259,26 @@ def test_cell_name_and_ablation(dataset, tmp_path):
     assert summary[2][0] == "concat-dual-4x"
     for cid in ("single-dual-4x", "concat-dual-4x"):
         assert os.path.exists(os.path.join(out, cid, "metrics.csv"))
+
     with pytest.raises(ValidationError):
         run_ablation([], ds_root, plan, str(tmp_path / "ab2"))
     with pytest.raises(ValidationError):
         run_ablation([("single", "dual", 4), ("single", "dual", 4)],
                      ds_root, plan, str(tmp_path / "ab3"))
+
+    # one worker process gives the same bytes as one worker per cell
+    monkeypatch.setenv("DDMC_THREADS", "1")
+    serial = str(tmp_path / "ab_serial")
+    run_ablation([("single", "dual", 4), ("concat", "dual", 4)],
+                 ds_root, plan, serial, seed=0)
+    compared = 0
+    for sub in ("", "single-dual-4x", "concat-dual-4x"):
+        names = sorted(os.listdir(os.path.join(out, sub)))
+        assert names == sorted(os.listdir(os.path.join(serial, sub)))
+        for name in names:
+            if name.endswith((".csv", ".ckpt")):
+                a = open(os.path.join(out, sub, name), "rb").read()
+                b = open(os.path.join(serial, sub, name), "rb").read()
+                assert a == b, os.path.join(sub, name)
+                compared += 1
+    assert compared == 2 + 2 * 5
