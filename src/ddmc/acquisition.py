@@ -13,7 +13,6 @@ import numpy as np
 
 from .diffcore.tensor import Tensor, add, scale_by
 from .errors import MaskBudgetError, ShapeError, ValidationError
-from .fourier import KSpaceGrid, ifft2c
 
 
 @dataclass
@@ -125,65 +124,28 @@ def make_mask(height, acceleration, n_center=CENTER_ROWS, sigma_frac=0.25,
                         acceleration=acceleration, seed=seed)
 
 
-def _check_grid(k, mask, op):
-    if k.real.data.shape[-2] != mask.height:
-        raise ShapeError("%s: grid has %d rows, mask %d"
-                         % (op, k.real.data.shape[-2], mask.height))
-
-
-def undersample(k, mask):
-    """Zero the unsampled rows of a k-space grid."""
-    _check_grid(k, mask, "undersample")
-    plane = mask.plane(dtype=k.real.data.dtype)
-    return KSpaceGrid(scale_by(k.real, plane), scale_by(k.imag, plane))
-
-
-def zero_filled(k_u):
-    """Direct inverse transform of undersampled k-space."""
-    return ifft2c(k_u)
-
-
-def data_consistency(k_pred, y_u, mask):
+def data_consistency_channels(k_pred, y_u, mask):
     """Replace predicted k-space rows with measured ones where sampled.
 
-    out = M * y_u + (1 - M) * k_pred, elementwise per plane.  Sampled
-    rows of the output equal y_u bit for bit, so the op is idempotent.
+    k_pred and y_u are [..., 2, H, W] channel stacks; y_u may be a Tensor
+    or a plain ndarray (treated as constant).  mask is a SamplingMask or a
+    float row plane that broadcasts onto k_pred.  out = M * y_u +
+    (1 - M) * k_pred, so sampled rows of the output equal y_u bit for
+    bit and the op is idempotent.
     """
-    _check_grid(k_pred, mask, "data_consistency")
-    if k_pred.real.shape != y_u.real.shape:
-        raise ShapeError("data_consistency: predicted %s vs measured %s"
-                         % (k_pred.real.shape, y_u.real.shape))
-    m = mask.plane(dtype=k_pred.real.data.dtype)
-    keep = 1.0 - m
-    re = add(scale_by(y_u.real, m), scale_by(k_pred.real, keep))
-    im = add(scale_by(y_u.imag, m), scale_by(k_pred.imag, keep))
-    return KSpaceGrid(re, im)
-
-
-def _mask_plane(mask, x, op):
-    """Resolve a SamplingMask or a precomputed (possibly batched) float
-    plane to an array broadcastable over the channel tensor x."""
-    if isinstance(mask, SamplingMask):
-        plane = mask.plane(dtype=x.data.dtype)
-    else:
-        plane = np.asarray(mask, dtype=x.data.dtype)
-    if np.broadcast_shapes(x.shape, plane.shape) != x.shape:
-        raise ShapeError("%s: mask plane %s does not broadcast onto %s"
-                         % (op, plane.shape, x.shape))
-    return plane
-
-
-def apply_mask_channels(x, mask):
-    """Row mask on a [..., 2, H, W] k-space channel tensor."""
-    return scale_by(x, _mask_plane(mask, x, "apply_mask"))
-
-
-def data_consistency_channels(k_pred, y_u, mask):
-    """data_consistency on [..., 2, H, W] channel tensors; y_u may be a
-    Tensor or a plain ndarray (treated as constant)."""
     measured = y_u if isinstance(y_u, Tensor) else Tensor(y_u)
     if measured.shape != k_pred.shape:
         raise ShapeError("data_consistency: predicted %s vs measured %s"
                          % (k_pred.shape, measured.shape))
-    m = _mask_plane(mask, k_pred, "data_consistency")
+    if isinstance(mask, SamplingMask):
+        m = mask.plane(dtype=k_pred.data.dtype)
+    else:
+        m = np.asarray(mask, dtype=k_pred.data.dtype)
+    try:
+        fits = np.broadcast_shapes(k_pred.shape, m.shape) == k_pred.shape
+    except ValueError:
+        fits = False
+    if not fits:
+        raise ShapeError("data_consistency: mask plane %s does not broadcast "
+                         "onto %s" % (m.shape, k_pred.shape))
     return add(scale_by(measured, m), scale_by(k_pred, 1.0 - m))

@@ -2,7 +2,7 @@
 
 Subcommands: gen-data, make-masks, train, eval, ablate, render.
 Exit codes: 0 success, 1 usage error, 2 validation error (bad config,
-bad stage ordering), 3 I/O error.  Failures print one structured line
+bad stage ordering, non-finite loss), 3 I/O error.  Failures print one structured line
 to stderr: ``ddmc: <kind>: <message>``.
 
 Reruns with an identical config and seed reproduce outputs bit-exactly;

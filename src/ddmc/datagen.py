@@ -8,7 +8,6 @@ any record can be regenerated in isolation.
 """
 
 import json
-import logging
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -18,9 +17,8 @@ from scipy.ndimage import gaussian_filter
 from .errors import (BadMagicError, TruncatedFileError, ValidationError,
                      VersionMismatchError)
 from .fourier import ComplexImage
-from .geometry import RigidParams, apply_rigid
-
-log = logging.getLogger("ddmc")
+from .geometry import RigidParams
+from .kernels import warp_forward
 
 RECORD_MAGIC = b"DDMR"
 RECORD_VERSION = 1
@@ -149,28 +147,11 @@ def augment_motion(rec, rot_range, trans_range, mm_per_px, seed):
         ty=float(rng.uniform(-t_px, t_px)),
         theta=float(np.deg2rad(rng.uniform(-rot_range, rot_range))),
     )
-    moved = apply_rigid(rec.ref_aligned, motion)
-    moved = ComplexImage.from_arrays(
-        moved.real.data.astype(np.float32),
-        moved.imag.data.astype(np.float32))
-    return replace(rec, ref_moved=moved, true_motion=motion)
-
-
-def normalize(img):
-    """Min-max normalise the magnitude to [0, 1] as a real image.
-
-    A constant magnitude has no usable range; it maps to zeros and a
-    warning is logged.
-    """
-    mag = img.magnitude()
-    lo = float(mag.min())
-    hi = float(mag.max())
-    if hi - lo < 1e-12:
-        log.warning("normalize: constant magnitude (%.3g), returning zeros", hi)
-        out = np.zeros_like(mag)
-    else:
-        out = (mag - lo) / (hi - lo)
-    return ComplexImage.from_arrays(out.astype(mag.dtype))
+    p = motion.as_array(np.float32)
+    re, im = warp_forward(rec.ref_aligned.channels()[None],
+                          p[:1], p[1:2], p[2:])[0]
+    return replace(rec, ref_moved=ComplexImage.from_arrays(re, im),
+                   true_motion=motion)
 
 
 def write_record(rec, path):

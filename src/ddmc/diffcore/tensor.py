@@ -204,7 +204,7 @@ def relu(x):
 
     def bwd(g):
         _accum(x, g * mask)
-    return _result(np.where(mask, x.data, 0), (x,), bwd)
+    return _result(K.zero_unless(x.data, mask), (x,), bwd)
 
 
 def sum_all(x):
@@ -254,33 +254,6 @@ def concat_channels(tensors):
             _accum(t, g[:, ofs:ofs + c])
             ofs += c
     return _result(data, tuple(tensors), bwd)
-
-
-def take_channels(x, start, stop):
-    """Slice channels [start:stop) of a [N, C, H, W] tensor."""
-    if not (0 <= start < stop <= x.shape[1]):
-        raise ShapeError("take_channels: [%d:%d) out of range for %d channels"
-                         % (start, stop, x.shape[1]))
-    data = x.data[:, start:stop]
-
-    def bwd(g):
-        gx = np.zeros(x.shape, dtype=g.dtype)
-        gx[:, start:stop] = g
-        _accum(x, gx)
-    return _result(np.ascontiguousarray(data), (x,), bwd)
-
-
-def stack2(a, b, axis=-3):
-    """Stack two same-shape tensors along a new axis (default: a new
-    channel axis third from the right)."""
-    _check_same_shape(a, b, "stack2")
-    data = np.stack([a.data, b.data], axis=axis)
-
-    def bwd(g):
-        ga, gb = np.moveaxis(g, axis, 0)
-        _accum(a, ga)
-        _accum(b, gb)
-    return _result(data, (a, b), bwd)
 
 
 def magnitude_channels(x):
@@ -381,8 +354,10 @@ def batchnorm2d(x, gamma, beta, run_mean, run_var, training,
         mu = run_mean.data
         var = run_var.data
     ivstd = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu[None, :, None, None]) * ivstd[None, :, None, None]
-    y = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+    xhat = x.data - mu[None, :, None, None]
+    xhat *= ivstd[None, :, None, None]
+    y = gamma.data[None, :, None, None] * xhat
+    y += beta.data[None, :, None, None]
     m = x.shape[0] * x.shape[2] * x.shape[3]
 
     def bwd(g):
@@ -399,12 +374,14 @@ def batchnorm2d(x, gamma, beta, run_mean, run_var, training,
             gvar = (gxh * xc).sum(axis=(0, 2, 3)) * (-0.5) * ivstd ** 3
             gmu = (-(gxh).sum(axis=(0, 2, 3)) * ivstd
                    - gvar * 2.0 * xc.sum(axis=(0, 2, 3)) / m)
-            gx = (gxh * iv
-                  + (gvar * 2.0 / m)[None, :, None, None] * xc
-                  + (gmu / m)[None, :, None, None])
+            gx = gxh * iv
+            xc *= (gvar * 2.0 / m)[None, :, None, None]
+            gx += xc
+            gx += (gmu / m)[None, :, None, None]
             _accum(x, gx)
         else:
-            _accum(x, gxh * ivstd[None, :, None, None])
+            gxh *= ivstd[None, :, None, None]
+            _accum(x, gxh)
     return _result(y, (x, gamma, beta), bwd)
 
 

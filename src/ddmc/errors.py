@@ -38,6 +38,10 @@ class StageOrderError(ValidationError):
     """A pipeline stage was requested before its prerequisites finished."""
 
 
+class NonFiniteLossError(DdmcError):
+    """Training produced a NaN or infinite loss."""
+
+
 class CheckpointIntegrityError(DdmcError):
     """A checkpoint file is inconsistent or incomplete."""
 

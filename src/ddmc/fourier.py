@@ -1,9 +1,10 @@
-"""Centred orthonormal 2-D Fourier transforms as autodiff ops.
+"""Centred orthonormal 2-D Fourier transforms on re/im channel stacks.
 
-Image-space values and k-space values are carried as (real, imag)
-tensor pairs: ComplexImage and KSpaceGrid.  Batched network code uses
-the *_channels variants on [..., 2, H, W] tensors where axis -3 holds
-the real and imaginary planes.
+Complex fields are carried as [..., 2, H, W] arrays whose axis -3 holds
+the real and imaginary planes.  fft2c_stack/ifft2c_stack transform plain
+arrays; fft2c_channels/ifft2c_channels are the same transforms as
+autodiff ops on tensors.  ComplexImage holds one record image as a
+(real, imag) plane pair.
 
 Both transforms are unitary (norm="ortho") with the DC sample at the
 grid centre: F = fftshift . fft2_ortho . ifftshift.  Because a unitary
@@ -32,57 +33,19 @@ class ComplexImage:
                              % (self.real.shape, self.imag.shape))
 
     @classmethod
-    def from_arrays(cls, real, imag=None, requires_grad=False):
+    def from_arrays(cls, real, imag=None):
         real = np.asarray(real)
         if imag is None:
             imag = np.zeros_like(real)
-        return cls(Tensor(real, requires_grad=requires_grad),
-                   Tensor(np.asarray(imag), requires_grad=requires_grad))
-
-    @property
-    def shape(self):
-        return self.real.shape
+        return cls(Tensor(real), Tensor(np.asarray(imag)))
 
     def magnitude(self):
         """Pointwise |z| as a plain ndarray (no graph)."""
         return np.hypot(self.real.data, self.imag.data)
 
-    def as_complex(self):
-        return self.real.data + 1j * self.imag.data
-
-
-@dataclass
-class KSpaceGrid:
-    """k-space complex field, DC at the grid centre."""
-
-    real: Tensor
-    imag: Tensor
-    centered: bool = True
-
-    def __post_init__(self):
-        if self.real.shape != self.imag.shape:
-            raise ShapeError("KSpaceGrid planes disagree: %s vs %s"
-                             % (self.real.shape, self.imag.shape))
-        if not self.centered:
-            raise ShapeError("KSpaceGrid must keep DC centred")
-
-    @classmethod
-    def from_arrays(cls, real, imag=None, requires_grad=False):
-        real = np.asarray(real)
-        if imag is None:
-            imag = np.zeros_like(real)
-        return cls(Tensor(real, requires_grad=requires_grad),
-                   Tensor(np.asarray(imag), requires_grad=requires_grad))
-
-    @property
-    def shape(self):
-        return self.real.shape
-
-    def magnitude(self):
-        return np.hypot(self.real.data, self.imag.data)
-
-    def as_complex(self):
-        return self.real.data + 1j * self.imag.data
+    def channels(self):
+        """The planes as one [2, H, W] float32 re/im channel array."""
+        return np.stack([self.real.data, self.imag.data]).astype(np.float32)
 
 
 def _fft2c_arrays(re, im):
@@ -103,80 +66,37 @@ def _ifft2c_arrays(re, im):
             np.ascontiguousarray(z.imag.astype(re.dtype)))
 
 
-def _check_2d(t, what):
-    if t.data.ndim < 2:
-        raise ShapeError("%s needs at least 2 dims, got %s" % (what, t.shape))
-
-
-def _pair_transform(re_t, im_t, fwd, inv):
-    """Build the two output tensors of a unitary pair transform with the
-    adjoint (= inverse) as the backward map, decomposed per output."""
-    out_re, out_im = fwd(re_t.data, im_t.data)
-
-    def bwd_re(g):
-        zr = np.zeros_like(g)
-        ar, ai = inv(g, zr)
-        _accum(re_t, ar)
-        _accum(im_t, ai)
-
-    def bwd_im(g):
-        zr = np.zeros_like(g)
-        ar, ai = inv(zr, g)
-        _accum(re_t, ar)
-        _accum(im_t, ai)
-
-    return (_result(out_re, (re_t, im_t), bwd_re),
-            _result(out_im, (re_t, im_t), bwd_im))
-
-
-def fft2c(img):
-    """Image -> centred orthonormal k-space."""
-    _check_2d(img.real, "fft2c")
-    re, im = _pair_transform(img.real, img.imag, _fft2c_arrays, _ifft2c_arrays)
-    return KSpaceGrid(re, im)
-
-
-def ifft2c(k):
-    """Centred orthonormal k-space -> image."""
-    _check_2d(k.real, "ifft2c")
-    re, im = _pair_transform(k.real, k.imag, _ifft2c_arrays, _fft2c_arrays)
-    return ComplexImage(re, im)
-
-
-def _channels_transform(x, fwd, inv):
+def _on_planes(x, transform):
     if x.shape[-3] != 2:
         raise ShapeError("channel transform needs size 2 on axis -3, got %d"
                          % x.shape[-3])
-    re, im = fwd(x.data[..., 0, :, :], x.data[..., 1, :, :])
-    data = np.stack([re, im], axis=-3)
+    re, im = transform(x[..., 0, :, :], x[..., 1, :, :])
+    return np.stack([re, im], axis=-3)
+
+
+def fft2c_stack(x):
+    """Image -> centred orthonormal k-space, on a [..., 2, H, W] array."""
+    return _on_planes(x, _fft2c_arrays)
+
+
+def ifft2c_stack(x):
+    """Centred orthonormal k-space -> image, on a [..., 2, H, W] array."""
+    return _on_planes(x, _ifft2c_arrays)
+
+
+def _channels_transform(x, fwd, inv):
+    data = fwd(x.data)
 
     def bwd(g):
-        ar, ai = inv(g[..., 0, :, :], g[..., 1, :, :])
-        _accum(x, np.stack([ar, ai], axis=-3))
+        _accum(x, inv(g))
     return _result(data, (x,), bwd)
 
 
 def fft2c_channels(x):
-    """fft2c on a [..., 2, H, W] re/im channel tensor."""
-    return _channels_transform(x, _fft2c_arrays, _ifft2c_arrays)
+    """fft2c_stack as an autodiff op on a [..., 2, H, W] tensor."""
+    return _channels_transform(x, fft2c_stack, ifft2c_stack)
 
 
 def ifft2c_channels(x):
-    """ifft2c on a [..., 2, H, W] re/im channel tensor."""
-    return _channels_transform(x, _ifft2c_arrays, _fft2c_arrays)
-
-
-def pair_to_channels(pair):
-    """[H, W] (real, imag) pair -> [1, 2, H, W] channel tensor."""
-    from .diffcore.tensor import stack2, reshape
-    stacked = stack2(pair.real, pair.imag, axis=-3)
-    return reshape(stacked, (1, 2) + tuple(pair.real.shape[-2:]))
-
-
-def channels_to_pair(x, kind):
-    """[1, 2, H, W] channel tensor -> ComplexImage or KSpaceGrid."""
-    from .diffcore.tensor import take_channels, reshape
-    h, w = x.shape[-2:]
-    re = reshape(take_channels(x, 0, 1), (h, w))
-    im = reshape(take_channels(x, 1, 2), (h, w))
-    return kind(re, im)
+    """ifft2c_stack as an autodiff op on a [..., 2, H, W] tensor."""
+    return _channels_transform(x, ifft2c_stack, fft2c_stack)

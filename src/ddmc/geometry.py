@@ -1,10 +1,10 @@
-"""Rigid 2-D motion: parameters, algebra, and differentiable warps.
+"""Rigid 2-D motion: parameters and algebra.
 
 A rigid transform is (tx, ty, theta): translation in pixels along the
 x (column) and y (row) axes plus rotation in radians about the image
-centre c = ((W-1)/2, (H-1)/2).  Applying it to an image resamples by
-the backward map src = R(-theta) (dst - c - t) + c with bilinear
-interpolation and zero fill, so transforms compose as
+centre c = ((W-1)/2, (H-1)/2).  kernels.warp_forward applies it to an
+image by resampling along the backward map src = R(-theta) (dst - c - t)
++ c with bilinear interpolation and zero fill, so transforms compose as
 
     compose(p1, p2): theta = theta1 + theta2, t = R(theta2) t1 + t2
     invert(p):       theta' = -theta,         t' = -R(-theta) t
@@ -18,9 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffcore.tensor import Tensor, warp_rigid
 from .errors import ValidationError
-from .fourier import ComplexImage
 
 
 @dataclass(frozen=True)
@@ -60,34 +58,3 @@ def compose(p1, p2):
     return np.stack([c * p1[:, 0] - s * p1[:, 1] + p2[:, 0],
                      s * p1[:, 0] + c * p1[:, 1] + p2[:, 1],
                      p1[:, 2] + p2[:, 2]], axis=1)
-
-
-def apply_rigid(img, p):
-    """Warp a ComplexImage by a fixed rigid transform.
-
-    The transform enters as a constant, so gradients flow only to the
-    image planes.
-    """
-    re = img.real
-    h, w = re.data.shape[-2:]
-    if re.data.ndim != 2:
-        raise ValidationError("apply_rigid expects single [H, W] planes, "
-                              "got %s" % (re.shape,))
-    from .fourier import pair_to_channels, channels_to_pair
-    x = pair_to_channels(img)
-    params = Tensor(p.as_array(dtype=x.data.dtype)[None, :])
-    y = warp_rigid(x, params)
-    return channels_to_pair(y, ComplexImage)
-
-
-def warp_channels(x, params):
-    """Differentiable rigid warp of a [N, C, H, W] tensor.
-
-    params: [N, 3] Tensor of (tx, ty, theta) or a single RigidParams
-    broadcast over the batch.
-    """
-    if isinstance(params, RigidParams):
-        n = x.shape[0]
-        params = Tensor(np.repeat(params.as_array(x.data.dtype)[None, :],
-                                  n, axis=0))
-    return warp_rigid(x, params)

@@ -7,7 +7,6 @@ stride-1, same-padded, odd square kernels only.
 """
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError
 
@@ -36,61 +35,101 @@ def conv2d_forward(x, w, b):
     if b.shape[0] != w.shape[0]:
         raise ShapeError("conv2d bias length %d != %d output channels"
                          % (b.shape[0], w.shape[0]))
-    k = w.shape[2]
-    p = k // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))
-    y = np.tensordot(win, w, axes=((1, 4, 5), (1, 2, 3)))
-    y = np.ascontiguousarray(y.transpose(0, 3, 1, 2))
+    n, _, h, wd = x.shape
+    co = w.shape[0]
+    # one GEMM over the whole batch: [N*H*W, Ci*k*k] patches (a
+    # transposed view of the slab) by [Ci*k*k, Co] weights
+    wt = w.transpose(1, 2, 3, 0).reshape(-1, co)
+    y = np.dot(_columns(x, w.shape[2]).T, wt)
+    y = np.ascontiguousarray(y.reshape(n, h, wd, co).transpose(0, 3, 1, 2))
     y += b[None, :, None, None]
     return y
 
 
+def _columns(x, k):
+    """Same-padded k x k patches of x [N, C, H, W] as a [C*k*k, N*H*W]
+    matrix, rows ordered (c, di, dj).
+
+    Each of the k*k row blocks is one shifted slice copy, so the slab
+    is written in long contiguous runs.
+    """
+    n, c, h, w = x.shape
+    p = k // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))).transpose(1, 0, 2, 3)
+    cols = np.empty((c, k, k, n, h, w), dtype=x.dtype)
+    for di in range(k):
+        for dj in range(k):
+            cols[:, di, dj] = xp[:, :, di:di + h, dj:dj + w]
+    return cols.reshape(c * k * k, n * h * w)
+
+
 def conv2d_grad_input(gy, w):
     """Gradient of conv2d_forward w.r.t. its input (full conv, flipped w)."""
-    k = w.shape[2]
-    p = k // 2
-    wflip = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-    gyp = np.pad(gy, ((0, 0), (0, 0), (p, p), (p, p)))
-    win = sliding_window_view(gyp, (k, k), axis=(2, 3))
-    gx = np.tensordot(win, wflip, axes=((1, 4, 5), (1, 2, 3)))
-    return np.ascontiguousarray(gx.transpose(0, 3, 1, 2))
+    n, _, h, wd = gy.shape
+    ci = w.shape[1]
+    wflip = w[:, :, ::-1, ::-1].transpose(0, 2, 3, 1).reshape(-1, ci)
+    gx = np.dot(_columns(gy, w.shape[2]).T, wflip)
+    return np.ascontiguousarray(gx.reshape(n, h, wd, ci).transpose(0, 3, 1, 2))
 
 
 def conv2d_grad_weights(x, gy, k):
     """Gradients of conv2d_forward w.r.t. weights and bias."""
-    p = k // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))
-    gw = np.tensordot(gy, win, axes=((0, 2, 3), (0, 2, 3)))
+    n, ci, h, w = x.shape
+    co = gy.shape[1]
+    gyt = gy.transpose(1, 0, 2, 3).reshape(co, n * h * w)
+    gw = np.dot(gyt, _columns(x, k).T)
     gb = gy.sum(axis=(0, 2, 3))
-    return np.ascontiguousarray(gw), gb
+    return gw.reshape(co, ci, k, k), gb
+
+
+def zero_unless(a, keep):
+    """np.where(keep, a, 0) bit for bit: a where keep holds, +0.0
+    elsewhere, whatever a holds there.
+
+    Done as an integer AND with an all-ones / all-zeros mask, which is
+    several times faster than np.where on float arrays.
+    """
+    it = np.dtype("i%d" % a.itemsize)
+    bits = keep.astype(it)
+    np.negative(bits, out=bits)
+    np.bitwise_and(a.view(it), bits, out=bits)
+    return bits.view(a.dtype)
 
 
 def maxpool2x2_forward(x):
     """2x2 max pooling, stride 2.  Ties pick the first element in
-    row-major scan order.
+    row-major scan order, as does a NaN.
 
     Returns the pooled map and a uint8 argmax code (2*di + dj).
     """
     if x.ndim != 4 or x.shape[2] % 2 or x.shape[3] % 2:
         raise ShapeError("maxpool2x2 needs [N,C,H,W] with even H and W, "
                          "got %s" % (x.shape,))
-    n, c, h, w = x.shape
-    blocks = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    flat = blocks.reshape(n, c, h // 2, w // 2, 4)
-    idx = flat.argmax(axis=-1).astype(np.uint8)
-    y = np.take_along_axis(flat, idx[..., None].astype(np.intp), axis=-1)[..., 0]
-    return np.ascontiguousarray(y), idx
+    quads = [x[:, :, di::2, dj::2] for di in (0, 1) for dj in (0, 1)]
+    best = quads[0]
+    idx = np.zeros(best.shape, dtype=np.uint8)
+    for code in (1, 2, 3):
+        v = quads[code]
+        # a later element wins if larger, or if NaN while best is not
+        wins = ~(v <= best) & (best == best)
+        # codes rise through the loop, so a win is a max with idx
+        np.maximum(idx, wins * np.uint8(code), out=idx)
+        best = np.maximum(best, v)
+    # take the winners' own bits, so a -0.0 / +0.0 tie keeps the first
+    y = zero_unless(quads[0], idx == 0)
+    it = y.view(np.dtype("i%d" % y.itemsize))
+    for code in (1, 2, 3):
+        it |= zero_unless(quads[code], idx == code).view(it.dtype)
+    return y, idx
 
 
 def maxpool2x2_backward(gy, idx, h, w):
     """Scatter pooled gradients back to the argmax positions."""
-    n, c, hh, ww = gy.shape
-    gflat = np.zeros((n, c, hh, ww, 4), dtype=gy.dtype)
-    np.put_along_axis(gflat, idx[..., None].astype(np.intp), gy[..., None], axis=-1)
-    gx = gflat.reshape(n, c, hh, ww, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    return np.ascontiguousarray(gx.reshape(n, c, h, w))
+    n, c = gy.shape[:2]
+    gx = np.empty((n, c, h, w), dtype=gy.dtype)
+    for code in range(4):
+        gx[:, :, code // 2::2, code % 2::2] = zero_unless(gy, idx == code)
+    return gx
 
 
 def _sample_coords(h, w, tx, ty, theta, dtype):
@@ -109,17 +148,35 @@ def _sample_coords(h, w, tx, ty, theta, dtype):
     return sx, sy
 
 
-def _corners(sx, sy, h, w):
+def _corners(sx, sy, shape):
+    """Bilinear taps of the sample points (sx, sy) [N, H, W] in an
+    [N, C, H, W] array.
+
+    Returns the fractional offsets fx, fy and, per corner (dy, dx) in
+    the order (0, 0), (0, 1), (1, 0), (1, 1), the in-frame mask
+    [N, H, W] and flat indices [N, C, H, W] of the tap, clipped into
+    the frame, for x.ravel().take.
+    """
+    n, c, h, w = shape
     x0 = np.floor(sx).astype(np.int64)
     y0 = np.floor(sy).astype(np.int64)
     fx = sx - x0
     fy = sy - y0
-    ins = []
-    for dy in (0, 1):
-        for dx in (0, 1):
-            ins.append(((x0 + dx >= 0) & (x0 + dx < w)
-                        & (y0 + dy >= 0) & (y0 + dy < h)))
-    return x0, y0, fx, fy, ins
+    # per tap row / column: in-frame flag and clipped offset
+    rows = [((y0 + d >= 0) & (y0 + d < h), np.clip(y0 + d, 0, h - 1) * w)
+            for d in (0, 1)]
+    cols = [((x0 + d >= 0) & (x0 + d < w), np.clip(x0 + d, 0, w - 1))
+            for d in (0, 1)]
+    planes = np.arange(n * c).reshape(n, c, 1, 1) * (h * w)
+    taps = [(in_y & in_x, planes + (ofs_y + ofs_x)[:, None])
+            for in_y, ofs_y in rows for in_x, ofs_x in cols]
+    return fx, fy, taps
+
+
+def _channel_sum(a):
+    """Sum [N, C, H, W] over C with the channel axis made contiguous, so
+    numpy sums it pairwise rather than one channel plane at a time."""
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).sum(axis=-1)
 
 
 def warp_forward(x, tx, ty, theta):
@@ -132,19 +189,13 @@ def warp_forward(x, tx, ty, theta):
     n, c, h, w = x.shape
     if not (tx.shape == ty.shape == theta.shape == (n,)):
         raise ShapeError("warp params must be three [N]=[%d] vectors" % n)
-    dtype = x.dtype.type
-    sx, sy = _sample_coords(h, w, tx, ty, theta, dtype)
-    x0, y0, fx, fy, ins = _corners(sx, sy, h, w)
+    sx, sy = _sample_coords(h, w, tx, ty, theta, x.dtype.type)
+    fx, fy, taps = _corners(sx, sy, x.shape)
     wgt = [(1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy]
+    flat = x.ravel()
     out = np.zeros_like(x)
-    ni = np.arange(n)[:, None, None]
-    for corner, (dy, dx) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-        m = ins[2 * dy + dx]
-        yc = np.clip(y0 + dy, 0, h - 1)
-        xc = np.clip(x0 + dx, 0, w - 1)
-        vals = x[ni, :, yc, xc]                     # [N, H, W, C]
-        contr = (wgt[2 * dy + dx] * m)[..., None] * vals
-        out += contr.transpose(0, 3, 1, 2)
+    for wc, (ins, pix) in zip(wgt, taps):
+        out += (wc * ins)[:, None] * flat.take(pix)
     return out
 
 
@@ -160,24 +211,16 @@ def warp_backward(x, tx, ty, theta, gy, need_input_grad=True):
     cth = np.cos(theta).astype(dtype)
     sth = np.sin(theta).astype(dtype)
     sx, sy = _sample_coords(h, w, tx, ty, theta, dtype)
-    x0, y0, fx, fy, ins = _corners(sx, sy, h, w)
-    ni = np.arange(n)[:, None, None]
+    fx, fy, taps = _corners(sx, sy, x.shape)
+    flat = x.ravel()
+    # corner values, zero outside the frame
+    p00, p10, p01, p11 = [flat.take(pix) * ins[:, None] for ins, pix in taps]
 
-    pix = []
-    for dy in (0, 1):
-        for dx in (0, 1):
-            m = ins[2 * dy + dx]
-            yc = np.clip(y0 + dy, 0, h - 1)
-            xc = np.clip(x0 + dx, 0, w - 1)
-            pix.append(x[ni, :, yc, xc] * m[..., None])  # [N, H, W, C]
-    p00, p10, p01, p11 = pix
-
-    gyt = gy.transpose(0, 2, 3, 1)                       # [N, H, W, C]
     # d value / d sx and / d sy per channel, then contract with gy.
-    dvdx = (1 - fy)[..., None] * (p10 - p00) + fy[..., None] * (p11 - p01)
-    dvdy = (1 - fx)[..., None] * (p01 - p00) + fx[..., None] * (p11 - p10)
-    gsx = (gyt * dvdx).sum(axis=-1)
-    gsy = (gyt * dvdy).sum(axis=-1)
+    dvdx = (1 - fy)[:, None] * (p10 - p00) + fy[:, None] * (p11 - p01)
+    dvdy = (1 - fx)[:, None] * (p01 - p00) + fx[:, None] * (p11 - p10)
+    gsx = _channel_sum(gy * dvdx)
+    gsy = _channel_sum(gy * dvdy)
 
     ct = cth[:, None, None]
     st = sth[:, None, None]
@@ -189,12 +232,8 @@ def warp_backward(x, tx, ty, theta, gy, need_input_grad=True):
     if need_input_grad:
         gx = np.zeros_like(x)
         wgt = [(1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy]
-        for corner, (dy, dx) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-            m = ins[2 * dy + dx]
-            yc = np.clip(y0 + dy, 0, h - 1)
-            xc = np.clip(x0 + dx, 0, w - 1)
-            contr = (wgt[2 * dy + dx] * m)[..., None] * gyt
-            np.add.at(gx, (ni, slice(None), yc, xc), contr)
+        for wc, (ins, pix) in zip(wgt, taps):
+            np.add.at(gx.ravel(), pix, (wc * ins)[:, None] * gy)
     return gx, gtx.astype(x.dtype), gty.astype(x.dtype), gth.astype(x.dtype)
 
 

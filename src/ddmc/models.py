@@ -3,7 +3,7 @@
 SynthNet   cross-contrast synthesis, a small U-Net from the reference
            contrast to a target-contrast estimate (one per branch).
 RegNet     rigid registration, a strided conv stack regressing
-           (tx, ty, theta) and warping the moving image with it.  The
+           (tx, ty, theta) from a moving and a fixed image.  The
            image and k-space branches share one net;
            register_refined applies it with compositional refinement.
 ReconNet   reconstruction, a U-Net over the fused input channels whose
@@ -20,7 +20,7 @@ import numpy as np
 
 from .diffcore import (ParamSet, Tensor, batchnorm2d, concat_channels,
                        conv2d, fully_connected, maxpool2x2, relu, reshape,
-                       upsample2x, warp_rigid)
+                       upsample2x)
 from .diffcore.init import bn_param, conv_param, fc_param
 from .errors import ParamError, ShapeError, ValidationError
 from .geometry import compose
@@ -224,11 +224,12 @@ class ReconNet(_Network):
 
 
 class RegNet(_Network):
-    """Moving + fixed image -> rigid params, plus the warped moving image.
+    """Moving + fixed image -> [N, 3] rigid params (tx, ty, theta).
 
-    Four conv/BN/relu/pool stages then two fully connected layers; the
-    final layer is zero-initialised so an untrained net predicts the
-    identity transform.
+    Conv/BN/relu/pool stages then two fully connected layers; the final
+    layer is zero-initialised so an untrained net predicts the identity
+    transform.  Callers that need the warped moving image apply
+    diffcore.warp_rigid(moving, params) themselves.
     """
 
     def _build(self, rng):
@@ -264,9 +265,7 @@ class RegNet(_Network):
         h = reshape(h, (h.shape[0], self.flat_dim))
         ps = self.params
         h = relu(fully_connected(h, ps["fc1.w"], ps["fc1.b"]))
-        p = fully_connected(h, ps["fc2.w"], ps["fc2.b"])
-        warped = warp_rigid(moving, p)
-        return p, warped
+        return fully_connected(h, ps["fc2.w"], ps["fc2.b"])
 
 
 def register_refined(net, moving, fixed, n_iters=3):
@@ -284,8 +283,7 @@ def register_refined(net, moving, fixed, n_iters=3):
     fixed_t = Tensor(fixed)
 
     def predict(m):
-        p, _ = net(Tensor(m), fixed_t)
-        return p.data.astype(np.float64)
+        return net(Tensor(m), fixed_t).data.astype(np.float64)
 
     def warp_by(p):
         p = p.astype(moving.dtype)

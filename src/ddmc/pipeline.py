@@ -36,12 +36,12 @@ import numpy as np
 
 from .acquisition import data_consistency_channels, make_mask
 from .datagen import Dataset
-from .diffcore import AdamState, ParamSet, Tensor, adam_step
-from .errors import (CheckpointIntegrityError, StageOrderError,
-                     TruncatedFileError, ValidationError)
+from .diffcore import AdamState, ParamSet, Tensor, adam_step, warp_rigid
+from .errors import (CheckpointIntegrityError, NonFiniteLossError,
+                     StageOrderError, TruncatedFileError, ValidationError)
 from .evalkit import metrics as _metrics
-from .fourier import (_fft2c_arrays, _ifft2c_arrays, fft2c_channels,
-                      ifft2c_channels)
+from .fourier import (fft2c_channels, fft2c_stack, ifft2c_channels,
+                      ifft2c_stack)
 from .models import (ReconNet, ReconNetConfig, RegNet, RegNetConfig,
                      SynthNet, SynthNetConfig, register_refined)
 from .objectives import (DOMAIN_MODES, IMAGE_LOSS_KINDS, STAGES,
@@ -314,20 +314,6 @@ class _RecordTensors:
     k_ref_mv: np.ndarray = None
 
 
-def _channels(img):
-    return np.stack([img.real.data, img.imag.data]).astype(np.float32)
-
-
-def _fft_ch(x):
-    re, im = _fft2c_arrays(x[..., 0, :, :], x[..., 1, :, :])
-    return np.stack([re, im], axis=-3)
-
-
-def _ifft_ch(x):
-    re, im = _ifft2c_arrays(x[..., 0, :, :], x[..., 1, :, :])
-    return np.stack([re, im], axis=-3)
-
-
 def prepare_record(rec, plan):
     """Build the constant tensors one record contributes to training."""
     h = rec.brain_mask.shape[0]
@@ -338,18 +324,18 @@ def prepare_record(rec, plan):
                      sigma_frac=plan.sigma_frac,
                      seed=_sub_seed(plan.mask_seed, rec.record_id))
     plane = mask.plane(np.float32)[None]          # [1, H, 1]
-    x_tgt = _channels(rec.tgt)
-    k_tgt = _fft_ch(x_tgt)
+    x_tgt = rec.tgt.channels()
+    k_tgt = fft2c_stack(x_tgt)
     y_u = k_tgt * plane
-    x_u = _ifft_ch(y_u)
+    x_u = ifft2c_stack(y_u)
     rt = _RecordTensors(record_id=rec.record_id, brain_mask=rec.brain_mask,
                         mask=mask, plane=plane, x_tgt=x_tgt, k_tgt=k_tgt,
                         y_u=y_u, x_u=x_u)
     if plan.contrast_mode != "single":
-        rt.x_ref_al = _channels(rec.ref_aligned)
-        rt.k_ref_al = _fft_ch(rt.x_ref_al)
-        rt.x_ref_mv = _channels(rec.ref_moved)
-        rt.k_ref_mv = _fft_ch(rt.x_ref_mv)
+        rt.x_ref_al = rec.ref_aligned.channels()
+        rt.k_ref_al = fft2c_stack(rt.x_ref_al)
+        rt.x_ref_mv = rec.ref_moved.channels()
+        rt.k_ref_mv = fft2c_stack(rt.x_ref_mv)
     return rt
 
 
@@ -450,7 +436,7 @@ def compute_stage_inputs(stage, plan, frozen, rt_map, ids):
         if "kspace" in branches:
             syn_k = _frozen_synth(frozen["synth_kspace"],
                                   _stack(rt_map, ids, "k_ref_mv"))
-            put("mov_kspace", _ifft_ch(syn_k))
+            put("mov_kspace", ifft2c_stack(syn_k))
         put("x_u", _stack(rt_map, ids, "x_u"))
         return out
 
@@ -485,9 +471,9 @@ def compute_stage_inputs(stage, plan, frozen, rt_map, ids):
         if "kspace" in branches:
             syn_k = _frozen_synth(frozen["synth_kspace"],
                                   _stack(rt_map, ids, "k_ref_mv"))
-            reg_k = register(_ifft_ch(syn_k))
+            reg_k = register(ifft2c_stack(syn_k))
             put("prior_kspace", reg_k)
-            put("in_kspace", np.concatenate([_fft_ch(reg_k), y_u], axis=1))
+            put("in_kspace", np.concatenate([fft2c_stack(reg_k), y_u], axis=1))
     put("y_u", y_u)
     for r in ids:
         out[r]["plane"] = rt_map[r].plane
@@ -519,11 +505,11 @@ def forward_stage(stage, plan, nets, batch):
         g = nets["registration"]
         fixed = Tensor(batch["x_u"])
         if "image" in branches:
-            _, warped = g(Tensor(batch["mov_image"]), fixed)
-            out["image"] = warped
+            mov = Tensor(batch["mov_image"])
+            out["image"] = warp_rigid(mov, g(mov, fixed))
         if "kspace" in branches:
-            _, warped_k = g(Tensor(batch["mov_kspace"]), fixed)
-            out["kspace"] = fft2c_channels(warped_k)
+            mov_k = Tensor(batch["mov_kspace"])
+            out["kspace"] = fft2c_channels(warp_rigid(mov_k, g(mov_k, fixed)))
     elif stage == "reconstruction":
         # data consistency, unless the net's config turns it off; the
         # image branch round-trips its estimate through k-space for it
@@ -612,6 +598,12 @@ def check_stage_order(stage, plan, checkpoints):
     return prior
 
 
+def _check_finite(loss, kind, stage, epoch, step):
+    if not np.isfinite(loss):
+        raise NonFiniteLossError("stage %r, epoch %d, step %d: %s loss is %r"
+                                 % (stage, epoch, step, kind, loss))
+
+
 def train_stage(stage, dataset, plan, checkpoints=None, seed=0,
                 out_dir=None, run_log=None):
     """Train one stage against frozen predecessors.
@@ -636,6 +628,9 @@ def train_stage(stage, dataset, plan, checkpoints=None, seed=0,
     -------
     Checkpoint
         Finalised, with best-validation parameters restored.
+
+    Raises NonFiniteLossError, and writes no checkpoint, when a step's
+    loss or an epoch's validation loss is not finite.
     """
     plan.validate()
     prior = check_stage_order(stage, plan, checkpoints)
@@ -679,6 +674,7 @@ def train_stage(stage, dataset, plan, checkpoints=None, seed=0,
             for ps, _ in opt:
                 ps.zero_grads()
             rep = _batch_loss(stage, plan, nets, train_in, rt_map, ids)
+            _check_finite(rep.total, "training", stage, epoch, step)
             rep.total_node.backward()
             for ps, st in opt:
                 adam_step(ps, st)
@@ -687,6 +683,7 @@ def train_stage(stage, dataset, plan, checkpoints=None, seed=0,
             step += 1
         val_loss = _validation_loss(stage, plan, nets, val_in, rt_map,
                                     val_ids, settings.batch_size)
+        _check_finite(val_loss, "validation", stage, epoch, step - 1)
         history.append(val_loss)
         if run_log is not None:
             run_log.log_epoch(stage, epoch, val_loss)
@@ -810,7 +807,7 @@ def evaluate(checkpoints, dataset, split, plan, with_outputs=False,
         if "kspace" in branches:
             syn_al_k = _frozen_synth(nets["synth_kspace"],
                                      _stack(rt_map, ids, "k_ref_al"))
-            for r, row in zip(ids, _ifft_ch(syn_al_k)):
+            for r, row in zip(ids, ifft2c_stack(syn_al_k)):
                 estimates["synthesis"]["kspace"][r] = row
         for branch in branches:
             for r in ids:
@@ -824,7 +821,7 @@ def evaluate(checkpoints, dataset, split, plan, with_outputs=False,
             for r, row in zip(ids_chunk, out["image"].data):
                 estimates["reconstruction"]["image"][r] = row
         if "kspace" in branches:
-            for r, row in zip(ids_chunk, _ifft_ch(out["kspace"].data)):
+            for r, row in zip(ids_chunk, ifft2c_stack(out["kspace"].data)):
                 estimates["reconstruction"]["kspace"][r] = row
 
     per_record = []

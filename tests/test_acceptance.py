@@ -16,8 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from ddmc.acquisition import (data_consistency, make_mask, undersample,
-                              zero_filled)
+from ddmc.acquisition import data_consistency_channels, make_mask
 from ddmc.cli import main as cli_main
 from ddmc.datagen import Dataset, build_dataset
 from ddmc.diffcore import (AdamState, Tensor, adam_step, batchnorm2d,
@@ -25,8 +24,7 @@ from ddmc.diffcore import (AdamState, Tensor, adam_step, batchnorm2d,
                            magnitude_channels, maxpool2x2, mse, relu,
                            upsample2x, warp_rigid)
 from ddmc.evalkit import PSNR_CAP, psnr, ssim
-from ddmc.fourier import (ComplexImage, fft2c, fft2c_channels, ifft2c,
-                          pair_to_channels)
+from ddmc.fourier import fft2c_channels, fft2c_stack, ifft2c_stack
 from ddmc.kernels import warp_forward
 from ddmc.models import (ReconNet, ReconNetConfig, RegNet, RegNetConfig,
                          register_refined)
@@ -65,24 +63,25 @@ def test_criterion_1_numerical_kernels():
     with criterion(1, "numerical kernel suite"):
         rng = np.random.default_rng(0)
 
-        # float32 64x64 round trip < 1e-6
-        img = ComplexImage.from_arrays(
-            rng.standard_normal((64, 64)).astype(np.float32),
-            rng.standard_normal((64, 64)).astype(np.float32))
-        back = ifft2c(fft2c(img))
-        assert np.max(np.abs(back.real.data - img.real.data)) < 1e-6
-        assert np.max(np.abs(back.imag.data - img.imag.data)) < 1e-6
+        # float32 64x64 round trip < 1e-6 ([2, H, W] re/im stacks)
+        img = np.stack([rng.standard_normal((64, 64)).astype(np.float32),
+                        rng.standard_normal((64, 64)).astype(np.float32)])
+        back = ifft2c_stack(fft2c_stack(img))
+        assert np.max(np.abs(back[0] - img[0])) < 1e-6
+        assert np.max(np.abs(back[1] - img[1])) < 1e-6
 
         # double 8x8 against the brute-force DFT < 1e-10
-        small = ComplexImage.from_arrays(rng.standard_normal((8, 8)),
-                                         rng.standard_normal((8, 8)))
-        k = fft2c(small)
-        want = dft2_centered_loops(small.as_complex())
-        assert np.max(np.abs(k.as_complex() - want)) < 1e-10
+        small = np.stack([rng.standard_normal((8, 8)),
+                          rng.standard_normal((8, 8))])
+        k = fft2c_stack(small)
+        z_img = small[0] + 1j * small[1]
+        z_k = k[0] + 1j * k[1]
+        want = dft2_centered_loops(z_img)
+        assert np.max(np.abs(z_k - want)) < 1e-10
 
         # Parseval relative error < 1e-6
-        e_img = np.sum(np.abs(small.as_complex()) ** 2)
-        e_k = np.sum(np.abs(k.as_complex()) ** 2)
+        e_img = np.sum(np.abs(z_img) ** 2)
+        e_k = np.sum(np.abs(z_k) ** 2)
         assert abs(e_img - e_k) / e_img < 1e-6
 
         # finite-difference checks for every autodiff primitive < 1e-5
@@ -144,27 +143,25 @@ def test_criterion_2_acquisition():
             lo = h // 2 - 3
             assert m.sampled[lo:lo + 6].all()
 
+        # [1, 2, H, W] re/im stacks: undersampled k-space y_ch and its
+        # zero-filled image x_ch
         rng = np.random.default_rng(7)
-        img = ComplexImage.from_arrays(
-            rng.standard_normal((64, 64)).astype(np.float32),
-            rng.standard_normal((64, 64)).astype(np.float32))
+        planes = [rng.standard_normal((64, 64)) for _ in range(2)]
+        img = np.stack(planes)[None].astype(np.float32)
         mask = make_mask(64, 4, seed=11)
-        y_u = undersample(fft2c(img), mask)
+        y_ch = fft2c_stack(img) * mask.plane()
+        x_ch = ifft2c_stack(y_ch)
 
-        pred = fft2c(zero_filled(y_u))
-        once = data_consistency(pred, y_u, mask)
-        twice = data_consistency(once, y_u, mask)
-        assert np.array_equal(once.real.data, twice.real.data)
-        assert np.array_equal(once.imag.data, twice.imag.data)
+        pred = Tensor(fft2c_stack(x_ch))
+        once = data_consistency_channels(pred, y_ch, mask)
+        twice = data_consistency_channels(once, y_ch, mask)
+        assert np.array_equal(once.data, twice.data)
 
         # every reconstruction output keeps the measured rows < 1e-6
         rows = mask.row_indices()
-        y_ch = pair_to_channels(y_u).data
-        x_ch = pair_to_channels(zero_filled(y_u)).data
         image_plan = StagePlan(domain_mode="image")
         for in_ch, inputs in ((2, x_ch),
-                              (4, np.concatenate(
-                                  [pair_to_channels(img).data, x_ch], 1))):
+                              (4, np.concatenate([img, x_ch], 1))):
             net = ReconNet(ReconNetConfig(in_channels=in_ch, base_channels=4,
                                           depth=2),
                            rng=np.random.default_rng(8)).eval_mode()
@@ -256,8 +253,9 @@ def test_criterion_4_registration_recovery(tmp_path):
                 for i in range(0, n, 8):
                     ids = order[i:i + 8]
                     net.params.zero_grads()
-                    _, warped = net(Tensor(mov[ids]), Tensor(fix_tr[ids]))
-                    loss = mse(warped, Tensor(fix_tr[ids]))
+                    mov_b = Tensor(mov[ids])
+                    p = net(mov_b, Tensor(fix_tr[ids]))
+                    loss = mse(warp_rigid(mov_b, p), Tensor(fix_tr[ids]))
                     loss.backward()
                     adam_step(net.params, opt)
                 ep_total += 1

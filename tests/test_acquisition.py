@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from ddmc.acquisition import (SamplingMask, data_consistency,
-                              data_consistency_channels, make_mask,
-                              undersample, zero_filled)
-from ddmc.diffcore import Tensor, grad_check, mse
+from ddmc.acquisition import (SamplingMask, data_consistency_channels,
+                              make_mask)
+from ddmc.datagen import ContrastPairRecord
+from ddmc.diffcore import Tensor, concat_channels, grad_check, mse
 from ddmc.errors import MaskBudgetError, ShapeError, ValidationError
-from ddmc.fourier import KSpaceGrid, fft2c, ifft2c, ComplexImage
+from ddmc.fourier import ComplexImage, fft2c_stack, ifft2c_stack
+from ddmc.geometry import RigidParams
+from ddmc.pipeline import StagePlan, prepare_record
 
 
 def dc_loops(k_pred, y_u, sampled):
@@ -22,8 +24,23 @@ def dc_loops(k_pred, y_u, sampled):
 
 
 def random_k(rng, h=16, w=12):
-    return KSpaceGrid.from_arrays(rng.standard_normal((h, w)),
-                                  rng.standard_normal((h, w)))
+    """A [1, 2, H, W] re/im k-space channel stack."""
+    return np.stack([rng.standard_normal((h, w)),
+                     rng.standard_normal((h, w))])[None]
+
+
+def prepared(rng, h, w, accel, n_center=6):
+    """prepare_record on a random complex target image: its y_u is the
+    undersampled k-space and its x_u the zero-filled image."""
+    img = ComplexImage.from_arrays(rng.standard_normal((h, w)),
+                                   rng.standard_normal((h, w)))
+    rec = ContrastPairRecord(record_id=0, seed=0, ref_aligned=img, tgt=img,
+                             ref_moved=img,
+                             true_motion=RigidParams.identity(),
+                             brain_mask=np.ones((h, w), dtype=bool))
+    plan = StagePlan(contrast_mode="single", accel=accel,
+                     n_center=n_center, image_size=h)
+    return prepare_record(rec, plan)
 
 
 @pytest.mark.parametrize("h,r", [(192, 4), (192, 8), (64, 4), (64, 8)])
@@ -75,38 +92,27 @@ def test_mask_load_rejects_garbage(tmp_path):
 
 
 def test_undersample_zeroes_complement():
-    rng = np.random.default_rng(0)
-    k = random_k(rng)
-    m = make_mask(16, 4, n_center=4, seed=1)
-    y = undersample(k, m)
-    keep = m.sampled
-    assert np.array_equal(y.real.data[keep], k.real.data[keep])
-    assert np.array_equal(y.imag.data[keep], k.imag.data[keep])
-    assert not y.real.data[~keep].any()
-    assert not y.imag.data[~keep].any()
+    rt = prepared(np.random.default_rng(0), 16, 12, 4, n_center=4)
+    keep = rt.mask.sampled
+    for y, k in zip(rt.y_u, rt.k_tgt):
+        assert np.array_equal(y[keep], k[keep])
+        assert not y[~keep].any()
 
 
 def test_zero_filled_is_inverse_transform():
-    rng = np.random.default_rng(1)
-    k = random_k(rng)
-    m = make_mask(16, 2, n_center=4, seed=1)
-    y = undersample(k, m)
-    zf = zero_filled(y)
-    want = ifft2c(KSpaceGrid.from_arrays(y.real.data, y.imag.data))
-    assert np.array_equal(zf.real.data, want.real.data)
-    assert np.array_equal(zf.imag.data, want.imag.data)
+    rt = prepared(np.random.default_rng(1), 16, 12, 2, n_center=4)
+    assert np.array_equal(rt.x_u, ifft2c_stack(rt.y_u))
 
 
 def test_data_consistency_matches_loop_oracle():
     rng = np.random.default_rng(2)
     k_pred = random_k(rng)
-    y_u = undersample(random_k(rng), make_mask(16, 4, n_center=4, seed=2))
     m = make_mask(16, 4, n_center=4, seed=2)
-    out = data_consistency(k_pred, y_u, m)
-    assert np.array_equal(out.real.data,
-                          dc_loops(k_pred.real.data, y_u.real.data, m.sampled))
-    assert np.array_equal(out.imag.data,
-                          dc_loops(k_pred.imag.data, y_u.imag.data, m.sampled))
+    y_u = random_k(rng) * m.plane(np.float64)
+    out = data_consistency_channels(Tensor(k_pred), y_u, m).data
+    for c in range(2):
+        assert np.array_equal(out[0, c],
+                              dc_loops(k_pred[0, c], y_u[0, c], m.sampled))
 
 
 def test_data_consistency_idempotent_bit_exact():
@@ -114,71 +120,51 @@ def test_data_consistency_idempotent_bit_exact():
     k_pred = random_k(rng)
     y_u = random_k(rng)
     m = make_mask(16, 4, n_center=4, seed=4)
-    once = data_consistency(k_pred, y_u, m)
-    twice = data_consistency(once, y_u, m)
-    assert np.array_equal(once.real.data, twice.real.data)
-    assert np.array_equal(once.imag.data, twice.imag.data)
+    once = data_consistency_channels(Tensor(k_pred), y_u, m)
+    twice = data_consistency_channels(once, y_u, m)
+    assert np.array_equal(once.data, twice.data)
     # sampled rows equal the measurement bit for bit
     rows = m.row_indices()
-    assert np.array_equal(once.real.data[rows], y_u.real.data[rows])
-    assert np.array_equal(once.imag.data[rows], y_u.imag.data[rows])
+    assert np.array_equal(once.data[..., rows, :], y_u[..., rows, :])
 
 
 def test_data_consistency_shape_checks():
     rng = np.random.default_rng(4)
     m = make_mask(16, 4, n_center=4, seed=0)
     with pytest.raises(ShapeError):
-        undersample(random_k(rng, h=12), m)
+        data_consistency_channels(Tensor(random_k(rng, h=12)),
+                                  random_k(rng, h=12), m)
     with pytest.raises(ShapeError):
-        data_consistency(random_k(rng), random_k(rng, h=12), m)
+        data_consistency_channels(Tensor(random_k(rng)),
+                                  random_k(rng, h=12), m)
 
 
 def test_data_consistency_gradient_blocks_sampled_rows():
     # dL/dk_pred must vanish on sampled rows and pass through elsewhere
     rng = np.random.default_rng(5)
     m = make_mask(16, 4, n_center=4, seed=6)
-    re = Tensor(rng.standard_normal((16, 12)), requires_grad=True)
-    im = Tensor(rng.standard_normal((16, 12)), requires_grad=True)
+    re = Tensor(rng.standard_normal((1, 1, 16, 12)), requires_grad=True)
+    im = Tensor(rng.standard_normal((1, 1, 16, 12)), requires_grad=True)
     y_u = random_k(rng)
-    tgt_re = Tensor(rng.standard_normal((16, 12)))
-    tgt_im = Tensor(rng.standard_normal((16, 12)))
+    tgt = Tensor(np.concatenate([rng.standard_normal((1, 1, 16, 12)),
+                                 rng.standard_normal((1, 1, 16, 12))], 1))
 
     def fn(*_):
-        out = data_consistency(KSpaceGrid(re, im), y_u, m)
-        return mse(out.real, tgt_re) + mse(out.imag, tgt_im)
+        out = data_consistency_channels(concat_channels([re, im]), y_u, m)
+        return mse(out, tgt)
 
     assert grad_check(fn, [re, im], n_samples=30,
                       rng=np.random.default_rng(7)) < 1e-6
     fn().backward()
-    assert not re.grad[m.sampled].any()
-    assert re.grad[~m.sampled].any()
-
-
-def test_channels_dc_matches_pair_dc():
-    rng = np.random.default_rng(8)
-    m = make_mask(16, 4, n_center=4, seed=9)
-    k_pred = random_k(rng)
-    y_u = random_k(rng)
-    pair = data_consistency(k_pred, y_u, m)
-    xk = Tensor(np.stack([k_pred.real.data, k_pred.imag.data])[None])
-    yk = np.stack([y_u.real.data, y_u.imag.data])[None]
-    ch = data_consistency_channels(xk, yk, m)
-    assert np.array_equal(ch.data[0, 0], pair.real.data)
-    assert np.array_equal(ch.data[0, 1], pair.imag.data)
+    assert not re.grad[0, 0][m.sampled].any()
+    assert re.grad[0, 0][~m.sampled].any()
 
 
 def test_reconstruction_round_trip_keeps_sampled_rows():
     # image -> k -> undersample -> DC with any prediction -> sampled rows
     # of the result match the measured lines to float32 round-off
-    rng = np.random.default_rng(10)
-    img = ComplexImage.from_arrays(
-        rng.standard_normal((64, 64)).astype(np.float32),
-        rng.standard_normal((64, 64)).astype(np.float32))
-    m = make_mask(64, 4, seed=11)
-    y_u = undersample(fft2c(img), m)
-    pred = fft2c(zero_filled(y_u))
-    out = data_consistency(pred, y_u, m)
-    rows = m.row_indices()
-    err = max(np.max(np.abs(out.real.data[rows] - y_u.real.data[rows])),
-              np.max(np.abs(out.imag.data[rows] - y_u.imag.data[rows])))
-    assert err < 1e-6
+    rt = prepared(np.random.default_rng(10), 64, 64, 4)
+    pred = Tensor(fft2c_stack(rt.x_u))
+    out = data_consistency_channels(pred, rt.y_u, rt.mask).data
+    rows = rt.mask.row_indices()
+    assert np.max(np.abs(out[:, rows] - rt.y_u[:, rows])) < 1e-6

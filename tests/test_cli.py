@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ddmc.cli import _parse_grid, main
+from ddmc.datagen import Dataset, record_path, write_record
 from ddmc.errors import ValidationError
 
 FAST = ["--set", "data.size=32", "--set", "data.n_train=4",
@@ -192,6 +193,21 @@ def test_train_eval_render_ablate_end_to_end(tmp_path, capsys):
                 "--out", eval2, "--split", "test"] + single) == 0
     assert (eval_dir / "metrics.csv").read_bytes() == \
         (eval2 / "metrics.csv").read_bytes()
+
+
+def test_nonfinite_loss_exits_2_without_checkpoint(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert run(["gen-data", "--out", data] + FAST) == 0
+    rec = Dataset.load(str(data)).split("train")[0]
+    rec.tgt.real.data[10, 10] = np.nan
+    write_record(rec, record_path(str(data), rec.record_id))
+    capsys.readouterr()
+    rc = run(["train", "--data", data, "--out", tmp_path / "run",
+              "--set", "train.contrast_mode=single"] + FAST)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "'reconstruction', epoch 0" in err and "loss is nan" in err
+    assert not (tmp_path / "run" / "reconstruction.ckpt").exists()
 
 
 def test_eval_without_checkpoints_is_validation_error(tmp_path, capsys):

@@ -8,12 +8,12 @@ from scipy.ndimage import binary_erosion
 
 from ddmc.datagen import (ContrastPairRecord, Dataset, DatasetManifest,
                           PhantomSpec, augment_motion, build_dataset,
-                          gen_phantom_pair, normalize, phantom_class_map,
+                          gen_phantom_pair, phantom_class_map,
                           read_record, record_path, write_record)
 from ddmc.errors import (BadMagicError, TruncatedFileError, ValidationError,
                          VersionMismatchError)
-from ddmc.fourier import ComplexImage
-from ddmc.geometry import RigidParams, apply_rigid, invert
+from ddmc.geometry import RigidParams, invert
+from ddmc.kernels import warp_forward
 
 SPEC = PhantomSpec(size=64, n_structures=6, blur_sigma=0.7, seed=3)
 
@@ -100,10 +100,11 @@ def test_augment_bounds_over_many_draws():
 def test_augment_inverse_warp_recovers_reference():
     rec = gen_phantom_pair(SPEC, 4)
     moved = augment_motion(rec, 10.0, 15.0, 3.0, seed=11)
-    undo = invert(moved.true_motion.as_array()[None])[0]
-    back = apply_rigid(moved.ref_moved, RigidParams(*undo))
+    undo = invert(moved.true_motion.as_array()[None])[0].astype(np.float32)
+    back = warp_forward(moved.ref_moved.channels()[None],
+                        undo[:1], undo[1:2], undo[2:])[0]
     core = binary_erosion(rec.brain_mask, iterations=3)
-    err = (back.real.data - rec.ref_aligned.real.data)[core]
+    err = (back[0] - rec.ref_aligned.real.data)[core]
     assert float((err ** 2).mean()) < 1e-3
 
 
@@ -121,23 +122,6 @@ def test_augment_validation():
         augment_motion(rec, -1.0, 15.0, 3.0, seed=0)
     with pytest.raises(ValidationError):
         augment_motion(rec, 10.0, 15.0, 0.0, seed=0)
-
-
-def test_normalize_examples():
-    img = ComplexImage.from_arrays(np.array([[0.0, 2.0, 4.0]]))
-    out = normalize(img)
-    assert np.array_equal(out.real.data, [[0.0, 0.5, 1.0]])
-    once = normalize(img)
-    twice = normalize(once)
-    assert np.array_equal(once.real.data, twice.real.data)
-
-
-def test_normalize_constant_logs_and_zeroes(caplog):
-    img = ComplexImage.from_arrays(np.full((4, 4), 0.7))
-    with caplog.at_level("WARNING", logger="ddmc"):
-        out = normalize(img)
-    assert not out.real.data.any()
-    assert any("constant" in r.message for r in caplog.records)
 
 
 def test_record_roundtrip_bit_exact(tmp_path):

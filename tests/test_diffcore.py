@@ -7,7 +7,7 @@ from ddmc.diffcore import (AdamState, ParamSet, Tensor, adam_step,
                            batchnorm2d, concat_channels, conv2d,
                            fully_connected, grad_check, magnitude_channels,
                            maxpool2x2, mean_all, mse, relu, reshape,
-                           stack2, sum_all, take_channels, upsample2x)
+                           scale_by, sum_all, upsample2x)
 from ddmc.diffcore.init import bn_param, conv_param, fc_param
 from ddmc.diffcore.tensor import warp_rigid
 from ddmc.errors import (GraphError, OptimizerError, ParamError,
@@ -130,14 +130,39 @@ def test_batchnorm_normalises_batch_statistics():
     assert np.max(np.abs(rmean.data - want_mean)) < 1e-10
 
 
+@pytest.mark.parametrize("training", [True, False])
+def test_batchnorm_leaves_inputs_untouched(training):
+    # forward and backward compute in scratch buffers: the input, the
+    # affine parameters and the incoming gradient keep their values
+    rng = np.random.default_rng(10)
+    x = Tensor(rng.standard_normal((2, 3, 4, 4)), requires_grad=True)
+    gamma = Tensor(rng.standard_normal(3), requires_grad=True)
+    beta = Tensor(rng.standard_normal(3), requires_grad=True)
+    rmean = Tensor(rng.standard_normal(3))
+    rvar = Tensor(np.abs(rng.standard_normal(3)) + 0.5)
+    before = [t.data.copy() for t in (x, gamma, beta)]
+    y = batchnorm2d(x, gamma, beta, rmean, rvar, training)
+    y_before = y.data.copy()
+    g = rng.standard_normal(y.shape)
+    g_before = g.copy()
+    y._backward(g)
+    for t, b in zip((x, gamma, beta), before):
+        assert np.array_equal(t.data, b)
+    assert np.array_equal(g, g_before)
+    assert np.array_equal(y.data, y_before)
+    assert x.grad is not None and np.all(np.isfinite(x.grad))
+
+
 def test_gradcheck_magnitude_and_stack():
     rng = np.random.default_rng(10)
-    a = Tensor(rng.standard_normal((2, 4, 4)) + 0.5, requires_grad=True)
-    b = Tensor(rng.standard_normal((2, 4, 4)) - 0.5, requires_grad=True)
+    a = Tensor((rng.standard_normal((2, 4, 4)) + 0.5)[:, None],
+               requires_grad=True)
+    b = Tensor((rng.standard_normal((2, 4, 4)) - 0.5)[:, None],
+               requires_grad=True)
     tgt = Tensor(rng.standard_normal((2, 1, 4, 4)))
 
     def fn(*_):
-        x = stack2(a, b, axis=-3)
+        x = concat_channels([a, b])
         return mse(magnitude_channels(x), tgt)
 
     assert grad_check(fn, [a, b], n_samples=30, rng=rng) < 1e-5
@@ -163,14 +188,17 @@ def test_concat_take_roundtrip_gradients():
     a = Tensor(rng.standard_normal((2, 2, 3, 3)), requires_grad=True)
     b = Tensor(rng.standard_normal((2, 3, 3, 3)), requires_grad=True)
 
+    # the loss reads channels [2, 5) of the concat, which are b
+    take = np.array([0.0, 0.0, 1.0, 1.0, 1.0])[:, None, None]
+
     def fn(*_):
-        c = concat_channels([a, b])
-        return mean_all(take_channels(c, 2, 5) * take_channels(c, 2, 5))
+        c = scale_by(concat_channels([a, b]), take)
+        return mean_all(c * c)
 
     assert grad_check(fn, [a, b], n_samples=30, rng=rng) < 1e-6
     y = concat_channels([a, b])
     assert y.shape == (2, 5, 3, 3)
-    assert np.array_equal(take_channels(y, 0, 2).data, a.data)
+    assert np.array_equal(y.data[:, :2], a.data)
 
 
 def test_adam_zero_gradient_keeps_parameters():

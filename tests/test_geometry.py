@@ -1,15 +1,13 @@
-"""Rigid-motion algebra and the differentiable warp wrappers."""
+"""Rigid-motion algebra, and the warp kernel under its conventions."""
 
 import math
 
 import numpy as np
 import pytest
 
-from ddmc.diffcore import Tensor
 from ddmc.errors import ValidationError
-from ddmc.fourier import ComplexImage
-from ddmc.geometry import (RigidParams, apply_rigid, compose, invert,
-                           warp_channels)
+from ddmc.geometry import RigidParams, compose, invert
+from ddmc.kernels import warp_forward
 
 
 IDENTITY = np.zeros((1, 3))
@@ -18,6 +16,12 @@ IDENTITY = np.zeros((1, 3))
 def row(tx, ty, theta):
     """One (tx, ty, theta) transform as a [1, 3] row."""
     return np.array([[tx, ty, theta]])
+
+
+def warp(x, p):
+    """A [C, H, W] stack warped by the RigidParams p."""
+    a = p.as_array(x.dtype)
+    return warp_forward(x[None], a[:1], a[1:2], a[2:])[0]
 
 
 def params_close(a, b, tol=1e-12):
@@ -78,11 +82,10 @@ def test_compose_matches_point_action():
 
 def test_apply_rigid_identity_exact():
     rng = np.random.default_rng(3)
-    img = ComplexImage.from_arrays(rng.standard_normal((16, 16)),
-                                   rng.standard_normal((16, 16)))
-    out = apply_rigid(img, RigidParams.identity())
-    assert np.array_equal(out.real.data, img.real.data)
-    assert np.array_equal(out.imag.data, img.imag.data)
+    img = np.stack([rng.standard_normal((16, 16)),
+                    rng.standard_normal((16, 16))])
+    out = warp(img, RigidParams.identity())
+    assert np.array_equal(out, img)
 
 
 def test_apply_rigid_roundtrip_interior():
@@ -93,46 +96,18 @@ def test_apply_rigid_roundtrip_interior():
     base[8:24, 8:24] = rng.uniform(0.2, 1.0, (16, 16))
     from scipy.ndimage import gaussian_filter
     base = gaussian_filter(base, 1.5)
-    img = ComplexImage.from_arrays(base, np.zeros_like(base))
+    img = np.stack([base, np.zeros_like(base)])
     p = RigidParams(1.7, -2.3, 0.15)
-    back = apply_rigid(apply_rigid(img, p),
-                       RigidParams(*invert(p.as_array()[None])[0]))
+    back = warp(warp(img, p), RigidParams(*invert(p.as_array()[None])[0]))
     inner = (slice(6, 26), slice(6, 26))
-    assert np.max(np.abs(back.real.data[inner] - base[inner])) < 0.05
+    assert np.max(np.abs(back[0][inner] - base[inner])) < 0.05
 
 
 def test_apply_rigid_integer_translation():
     img = np.zeros((8, 8))
     img[2, 3] = 1.0
-    out = apply_rigid(ComplexImage.from_arrays(img, np.zeros_like(img)),
-                      RigidParams(1.0, 2.0, 0.0))
+    out = warp(np.stack([img, np.zeros_like(img)]),
+               RigidParams(1.0, 2.0, 0.0))
     # x shift moves columns, y shift moves rows
-    assert out.real.data[4, 4] == pytest.approx(1.0)
-    assert out.real.data.sum() == pytest.approx(1.0)
-
-
-def test_apply_rigid_rejects_batched():
-    img = ComplexImage.from_arrays(np.zeros((2, 8, 8)), np.zeros((2, 8, 8)))
-    with pytest.raises(ValidationError):
-        apply_rigid(img, RigidParams.identity())
-
-
-def test_warp_channels_broadcast_params():
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal((3, 2, 8, 8)).astype(np.float32)
-    p = RigidParams(1.0, 0.0, 0.0)
-    out = warp_channels(Tensor(x), p)
-    arr = np.stack([p.as_array(np.float32)] * 3)
-    want = warp_channels(Tensor(x), Tensor(arr))
-    assert np.array_equal(out.data, want.data)
-
-
-def test_warp_channels_matches_apply_rigid():
-    rng = np.random.default_rng(6)
-    re = rng.standard_normal((8, 8))
-    im = rng.standard_normal((8, 8))
-    p = RigidParams(0.6, -1.2, 0.2)
-    pair = apply_rigid(ComplexImage.from_arrays(re, im), p)
-    ch = warp_channels(Tensor(np.stack([re, im])[None]), p)
-    assert np.max(np.abs(ch.data[0, 0] - pair.real.data)) < 1e-12
-    assert np.max(np.abs(ch.data[0, 1] - pair.imag.data)) < 1e-12
+    assert out[0, 4, 4] == pytest.approx(1.0)
+    assert out[0].sum() == pytest.approx(1.0)

@@ -7,7 +7,8 @@ from ddmc.errors import ShapeError
 from ddmc.kernels import (conv2d_forward, conv2d_grad_input,
                           conv2d_grad_weights, maxpool2x2_backward,
                           maxpool2x2_forward, upsample2x_backward,
-                          upsample2x_forward, warp_backward, warp_forward)
+                          upsample2x_forward, warp_backward, warp_forward,
+                          zero_unless)
 
 
 @pytest.fixture(params=["numpy"])
@@ -108,6 +109,53 @@ def test_maxpool_tie_breaks_to_first(active):
     assert gx.sum() == 1.0
 
 
+def _specials(dtype, shape, rng):
+    """Random values salted with signed zeros, infinities and NaNs."""
+    x = rng.standard_normal(shape).astype(dtype)
+    salt = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0], dtype)
+    pick = rng.random(shape) < 0.4
+    x[pick] = rng.choice(salt, size=int(pick.sum()))
+    return x
+
+
+def _bits(a):
+    return a.view("u%d" % a.itemsize)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_zero_unless_is_where_bit_for_bit(dtype):
+    rng = np.random.default_rng(5)
+    x = _specials(dtype, (3, 4, 6, 6), rng)
+    keep = rng.random(x.shape) < 0.5
+    got = zero_unless(x, keep)
+    assert got.dtype == x.dtype and got.shape == x.shape
+    assert np.array_equal(_bits(got), _bits(np.where(keep, x, 0)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_maxpool_matches_argmax_oracle(dtype):
+    # oracle: np.argmax over each window in row-major order, which picks
+    # the first maximum and the first NaN
+    rng = np.random.default_rng(6)
+    x = _specials(dtype, (2, 3, 8, 10), rng)
+    n, c, h, w = x.shape
+    win = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    win = win.reshape(n, c, h // 2, w // 2, 4)
+    want_idx = win.argmax(axis=-1)
+    want_y = np.take_along_axis(win, want_idx[..., None], axis=-1)[..., 0]
+    y, idx = maxpool2x2_forward(x)
+    assert idx.dtype == np.uint8
+    assert np.array_equal(idx, want_idx)
+    assert np.array_equal(_bits(y), _bits(want_y))
+    gy = rng.standard_normal(y.shape).astype(dtype)
+    gx = maxpool2x2_backward(gy, idx, h, w)
+    gwin = gx.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    gwin = gwin.reshape(n, c, h // 2, w // 2, 4)
+    want_g = np.zeros_like(gwin)
+    np.put_along_axis(want_g, want_idx[..., None], gy[..., None], axis=-1)
+    assert np.array_equal(_bits(gwin), _bits(want_g))
+
+
 def test_upsample2x_roundtrip(active):
     rng = np.random.default_rng(2)
     x = rng.standard_normal((2, 3, 4, 5)).astype(np.float32)
@@ -199,3 +247,62 @@ def test_warp_param_gradients_match_finite_differences(active):
         fd = (np.sum(warp_forward(xp, tx, ty, th) * gy)
               - np.sum(warp_forward(xm, tx, ty, th) * gy)) / (2 * eps)
         assert abs(gx[idx] - fd) < 1e-5 * max(1.0, abs(fd))
+
+
+def test_warp_input_gradient_is_the_adjoint():
+    # the warp is linear in x, so <warp(x), gy> == <x, gx> for its
+    # input gradient gx, which scatters gy back onto the source pixels
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((2, 3, 9, 8))
+    gy = rng.standard_normal(x.shape)
+    tx = np.array([1.3, -2.6])
+    ty = np.array([-0.4, 3.1])
+    th = np.array([0.5, -1.1])
+    gx = warp_backward(x, tx, ty, th, gy, need_input_grad=True)[0]
+    lhs = np.sum(warp_forward(x, tx, ty, th) * gy)
+    assert gx.shape == x.shape
+    assert abs(lhs - np.sum(x * gx)) < 1e-10 * max(1.0, abs(lhs))
+    assert warp_backward(x, tx, ty, th, gy, need_input_grad=False)[0] is None
+
+
+def test_warp_treats_channels_independently():
+    # each channel is warped on its own; the parameter gradients of a
+    # multi-channel warp are the sums over channels
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((2, 5, 8, 8))
+    gy = rng.standard_normal(x.shape)
+    tx, ty, th = np.array([0.6, -1.4]), np.array([2.2, 0.1]), \
+        np.array([-0.3, 0.8])
+    out = warp_forward(x, tx, ty, th)
+    grads = warp_backward(x, tx, ty, th, gy)
+    per = [warp_backward(x[:, i:i + 1], tx, ty, th, gy[:, i:i + 1])
+           for i in range(5)]
+    for i in range(5):
+        one = warp_forward(x[:, i:i + 1], tx, ty, th)
+        assert np.array_equal(out[:, i:i + 1], one)
+        assert np.array_equal(grads[0][:, i:i + 1], per[i][0])
+    for k in (1, 2, 3):
+        assert np.allclose(grads[k], sum(p[k] for p in per),
+                           rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_conv2d_other_kernel_sizes(k):
+    # forward against the loop oracle on a strided (non-contiguous)
+    # input, and both gradients through the adjoint identities
+    # <conv(x, w), gy> == <x, grad_input(gy, w)> == <w, grad_weights>
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((1, 3, 14, 9))[:, :, ::2]
+    w = rng.standard_normal((2, 3, k, k))
+    b = np.zeros(2)
+    got = conv2d_forward(x, w, b)
+    assert got.shape == (1, 2, 7, 9)
+    assert np.max(np.abs(got - conv2d_loops(x, w, b))) < 1e-10
+    gy = rng.standard_normal(got.shape)
+    inner = np.sum(got * gy)
+    gx = conv2d_grad_input(gy, w)
+    gw, gb = conv2d_grad_weights(x, gy, k)
+    assert gx.shape == x.shape and gw.shape == w.shape
+    assert abs(np.sum(x * gx) - inner) < 1e-10 * max(1.0, abs(inner))
+    assert abs(np.sum(w * gw) - inner) < 1e-10 * max(1.0, abs(inner))
+    assert np.allclose(gb, gy.sum(axis=(0, 2, 3)))

@@ -1,13 +1,15 @@
 """Networks: shapes, identity init, refinement, consistency wiring."""
 
+import sys
+
 import numpy as np
 import pytest
 
-from ddmc.acquisition import make_mask, undersample, zero_filled
-from ddmc.diffcore import Tensor
+import ddmc.kernels
+from ddmc.acquisition import make_mask
+from ddmc.diffcore import Tensor, warp_rigid
 from ddmc.errors import ParamError, ShapeError, ValidationError
-from ddmc.fourier import (ComplexImage, fft2c, fft2c_channels,
-                          pair_to_channels)
+from ddmc.fourier import fft2c_channels, fft2c_stack, ifft2c_stack
 from ddmc.models import (ReconNet, ReconNetConfig, RegNet, RegNetConfig,
                          SynthNet, SynthNetConfig, register_refined)
 from ddmc.pipeline import StagePlan, forward_stage
@@ -18,14 +20,9 @@ def rng_for(k):
 
 
 def small_image(rng, h=16, w=16):
-    return ComplexImage.from_arrays(
-        rng.standard_normal((h, w)).astype(np.float32),
-        rng.standard_normal((h, w)).astype(np.float32))
-
-
-def channels(pair):
-    """A single (real, imag) pair as a [1, 2, H, W] array."""
-    return pair_to_channels(pair).data
+    """A [1, 2, H, W] float32 re/im channel stack."""
+    return np.stack([rng.standard_normal((h, w)).astype(np.float32),
+                     rng.standard_normal((h, w)).astype(np.float32)])[None]
 
 
 def test_synth_net_shapes():
@@ -61,25 +58,48 @@ def test_reg_net_zero_init_predicts_identity():
     rng = np.random.default_rng(4)
     mov = Tensor(rng.standard_normal((2, 2, 16, 16)).astype(np.float32))
     fix = Tensor(rng.standard_normal((2, 2, 16, 16)).astype(np.float32))
-    p, warped = net(mov, fix)
+    p = net(mov, fix)
     assert not p.data.any()
-    assert np.array_equal(warped.data, mov.data)
+    assert np.array_equal(warp_rigid(mov, p).data, mov.data)
 
 
 def test_register_refined_zero_init_is_identity():
     net = RegNet(RegNetConfig(in_size=16, channels=(4, 8), fc_hidden=8),
                  rng=rng_for(21)).eval_mode()
     rng = np.random.default_rng(22)
-    mov = channels(small_image(rng))
-    fix = channels(small_image(rng))
+    mov = small_image(rng)
+    fix = small_image(rng)
     est, warped = register_refined(net, mov, fix, n_iters=3)
     assert est.shape == (1, 3) and not est.any()
     assert np.array_equal(warped, mov)
     one, _ = register_refined(net, mov, fix, n_iters=1)
-    direct, _ = net(Tensor(mov), Tensor(fix))
+    direct = net(Tensor(mov), Tensor(fix))
     assert np.array_equal(one, direct.data)
     with pytest.raises(ValidationError):
         register_refined(net, mov, fix, n_iters=0)
+
+
+def test_register_refined_warps_once_per_pass(monkeypatch):
+    # each pass warps the moving image by the running estimate once; the
+    # net itself does not warp
+    orig = ddmc.kernels.warp_forward
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return orig(*args)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("ddmc") and \
+                getattr(mod, "warp_forward", None) is orig:
+            monkeypatch.setattr(mod, "warp_forward", counted)
+    net = RegNet(RegNetConfig(in_size=16, channels=(4, 8), fc_hidden=8),
+                 rng=rng_for(23)).eval_mode()
+    rng = np.random.default_rng(24)
+    mov = np.concatenate([small_image(rng) for _ in range(4)])
+    fix = np.concatenate([small_image(rng) for _ in range(4)])
+    register_refined(net, mov, fix, n_iters=3)
+    assert len(calls) == 3
 
 
 def test_reg_net_shape_checks():
@@ -115,23 +135,22 @@ def test_recon_forward_applies_data_consistency():
     rng = np.random.default_rng(15)
     img = small_image(rng)
     mask = make_mask(16, 4, n_center=4, seed=3)
-    y_u = undersample(fft2c(img), mask)
-    x_u = zero_filled(y_u)
+    y_u = fft2c_stack(img) * mask.plane()
+    x_u = ifft2c_stack(y_u)
     nets = {"recon_image": ReconNet(
                 ReconNetConfig(in_channels=4, base_channels=4, depth=2),
                 rng=rng_for(16)).eval_mode(),
             "recon_kspace": ReconNet(
                 ReconNetConfig(in_channels=4, base_channels=4, depth=2),
                 rng=rng_for(17)).eval_mode()}
-    batch = {"in_image": np.concatenate(
-                 [channels(small_image(rng)), channels(x_u)], axis=1),
+    batch = {"in_image": np.concatenate([small_image(rng), x_u], axis=1),
              "in_kspace": np.concatenate(
-                 [channels(fft2c(small_image(rng))), channels(y_u)], axis=1),
-             "y_u": channels(y_u), "plane": mask}
+                 [fft2c_stack(small_image(rng)), y_u], axis=1),
+             "y_u": y_u, "plane": mask}
     out = forward_stage("reconstruction", StagePlan(domain_mode="dual"),
                         nets, batch)
     rows = mask.row_indices()
-    y = channels(y_u)[0][:, rows]
+    y = y_u[0][:, rows]
     k_out = fft2c_channels(out["image"]).data[0]
     assert np.max(np.abs(k_out[:, rows] - y)) < 1e-5
     assert np.array_equal(out["kspace"].data[0][:, rows], y)
@@ -141,17 +160,16 @@ def test_recon_forward_dc_disabled():
     rng = np.random.default_rng(18)
     img = small_image(rng)
     mask = make_mask(16, 4, n_center=4, seed=3)
-    y_u = undersample(fft2c(img), mask)
+    y_u = fft2c_stack(img) * mask.plane()
     net = ReconNet(ReconNetConfig(in_channels=2, base_channels=4, depth=2,
                                   dc_enabled=False), rng=rng_for(19))
     net.eval_mode()
     out = forward_stage("reconstruction", StagePlan(domain_mode="image"),
                         {"recon_image": net},
-                        {"in_image": channels(img), "y_u": channels(y_u),
-                         "plane": mask})
+                        {"in_image": img, "y_u": y_u, "plane": mask})
     k_out = fft2c_channels(out["image"]).data[0]
     rows = mask.row_indices()
-    assert not np.allclose(k_out[0][rows], channels(y_u)[0, 0][rows])
+    assert not np.allclose(k_out[0][rows], y_u[0, 0][rows])
 
 
 def test_eval_mode_deterministic():

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from ddmc.datagen import Dataset, build_dataset
-from ddmc.errors import (CheckpointIntegrityError, StageOrderError,
-                         TruncatedFileError, ValidationError)
+import ddmc.pipeline
+from ddmc.errors import (CheckpointIntegrityError, NonFiniteLossError,
+                         StageOrderError, TruncatedFileError, ValidationError)
 from ddmc.models import RegNet, SynthNet
 from ddmc.pipeline import (Checkpoint, RunLog, StagePlan, StageSettings,
                            cell_name, check_stage_order, evaluate,
@@ -195,6 +196,34 @@ def test_early_stop_keeps_best_epoch(dataset):
     # the best seen
     assert vals.index(best) <= len(vals) - 1
     assert ck.finalised
+
+
+# (split, record, loss kind, step named, steps taken): the poisoned
+# training record sits in the second batch of epoch 0; a poisoned
+# validation record fails the epoch after both of its steps
+@pytest.mark.parametrize("split,index,kind,step,taken", [
+    ("train", 1, "training", 1, 1), ("val", 0, "validation", 1, 2)])
+def test_nonfinite_loss_fails_loudly(dataset, tmp_path, monkeypatch, split,
+                                     index, kind, step, taken):
+    # one NaN pixel in one record's target makes that record's losses NaN
+    ds = copy.deepcopy(dataset)
+    ds.split(split)[index].tgt.real.data[10, 10] = np.nan
+    steps = []
+    adam_step = ddmc.pipeline.adam_step
+    monkeypatch.setattr(ddmc.pipeline, "adam_step",
+                        lambda *a: steps.append(1) or adam_step(*a))
+    out = str(tmp_path / "run")
+    with pytest.raises(NonFiniteLossError) as exc:
+        train_stage("reconstruction", ds,
+                    tiny_plan(contrast_mode="single", domain_mode="image"),
+                    seed=0, out_dir=out, run_log=RunLog(out))
+    assert ("stage 'reconstruction', epoch 0, step %d: %s loss is nan"
+            % (step, kind)) == str(exc.value)
+    # the failing step took no optimiser step and logged no row
+    logged = len(read_rows(os.path.join(out, "train_steps.csv"))) - 1
+    assert len(steps) == logged == taken
+    assert len(read_rows(os.path.join(out, "val_epochs.csv"))) == 1
+    assert not os.path.exists(os.path.join(out, "reconstruction.ckpt"))
 
 
 def test_full_sampling_reconstructs_exactly(dataset):
