@@ -183,10 +183,15 @@ def scale_by(x, c):
     The constant is not part of the graph, so this is also how masks
     and fixed weight planes enter a loss.
     """
-    c = np.asarray(c, dtype=x.data.dtype) if not np.isscalar(c) else c
-    if not np.isscalar(c) and np.broadcast_shapes(x.shape, c.shape) != x.shape:
-        raise ShapeError("scale_by: constant %s does not broadcast onto %s"
-                         % (c.shape, x.shape))
+    if not np.isscalar(c):
+        c = np.asarray(c, dtype=x.data.dtype)
+        try:
+            fits = np.broadcast_shapes(x.shape, c.shape) == x.shape
+        except ValueError:
+            fits = False
+        if not fits:
+            raise ShapeError("scale_by: constant %s does not broadcast onto "
+                             "%s" % (c.shape, x.shape))
 
     def bwd(g):
         _accum(x, g * c)

@@ -161,17 +161,12 @@ def render_report(records, outputs, out_dir, err_scale=5.0):
     os.makedirs(out_dir, exist_ok=True)
     written = []
     rows = []
-    def as_mag(v):
-        if hasattr(v, "magnitude"):
-            v = v.magnitude()
-        return np.asarray(v, dtype=np.float64)
-
     for rec, panels in zip(records, outputs):
-        truth = as_mag(rec.tgt)
+        truth = _magnitude_of(rec.tgt)
         named = dict(panels)
         named["ground_truth"] = rec.tgt
         for name in sorted(named):
-            mag = as_mag(named[name])
+            mag = _magnitude_of(named[name])
             base = os.path.join(out_dir, "rec_%05d_%s" % (rec.record_id, name))
             written.append(write_pgm(base + ".pgm", mag))
             err = np.abs(mag - truth) * err_scale

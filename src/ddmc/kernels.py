@@ -35,15 +35,37 @@ def conv2d_forward(x, w, b):
     if b.shape[0] != w.shape[0]:
         raise ShapeError("conv2d bias length %d != %d output channels"
                          % (b.shape[0], w.shape[0]))
-    n, _, h, wd = x.shape
-    co = w.shape[0]
-    # one GEMM over the whole batch: [N*H*W, Ci*k*k] patches (a
-    # transposed view of the slab) by [Ci*k*k, Co] weights
-    wt = w.transpose(1, 2, 3, 0).reshape(-1, co)
-    y = np.dot(_columns(x, w.shape[2]).T, wt)
-    y = np.ascontiguousarray(y.reshape(n, h, wd, co).transpose(0, 3, 1, 2))
+    wt = w.transpose(1, 2, 3, 0).reshape(-1, w.shape[0])
+    y = _chunked_gemm(x, w.shape[2], wt)
     y += b[None, :, None, None]
     return y
+
+
+# Byte budget of one im2col slab.  A slab above glibc's mmap threshold
+# is mapped fresh and page-faulted in on every call; a few MB stays in
+# reused heap memory and is as fast as any larger budget measured.
+_SLAB_BYTES = 4 << 20
+
+
+def _chunked_gemm(x, k, wt):
+    """[N, Co, H, W] product of the k x k patches of x [N, C, H, W] with
+    wt [C*k*k, Co], one batch chunk at a time.
+
+    Each chunk's slab stays within _SLAB_BYTES, or holds one image.
+    Splitting the N*H*W rows of the GEMM changes no dot product, so the
+    result is the one-GEMM result bit for bit.
+    """
+    n, c, h, w = x.shape
+    co = wt.shape[1]
+    per_image = c * k * k * h * w * x.dtype.itemsize
+    step = max(1, _SLAB_BYTES // per_image)
+    out = np.empty((n, co, h, w), dtype=np.result_type(x, wt))
+    for i in range(0, n, step):
+        # [nb*H*W, C*k*k] patches (a transposed view of the slab) by
+        # [C*k*k, Co] weights
+        y = np.dot(_columns(x[i:i + step], k).T, wt)
+        out[i:i + step] = y.reshape(-1, h, w, co).transpose(0, 3, 1, 2)
+    return out
 
 
 def _columns(x, k):
@@ -65,15 +87,16 @@ def _columns(x, k):
 
 def conv2d_grad_input(gy, w):
     """Gradient of conv2d_forward w.r.t. its input (full conv, flipped w)."""
-    n, _, h, wd = gy.shape
-    ci = w.shape[1]
-    wflip = w[:, :, ::-1, ::-1].transpose(0, 2, 3, 1).reshape(-1, ci)
-    gx = np.dot(_columns(gy, w.shape[2]).T, wflip)
-    return np.ascontiguousarray(gx.reshape(n, h, wd, ci).transpose(0, 3, 1, 2))
+    wflip = w[:, :, ::-1, ::-1].transpose(0, 2, 3, 1).reshape(-1, w.shape[1])
+    return _chunked_gemm(gy, w.shape[2], wflip)
 
 
 def conv2d_grad_weights(x, gy, k):
-    """Gradients of conv2d_forward w.r.t. weights and bias."""
+    """Gradients of conv2d_forward w.r.t. weights and bias.
+
+    One GEMM over the whole slab: its dot products run over N*H*W, so
+    splitting the batch would change their rounding.
+    """
     n, ci, h, w = x.shape
     co = gy.shape[1]
     gyt = gy.transpose(1, 0, 2, 3).reshape(co, n * h * w)
@@ -243,5 +266,8 @@ def upsample2x_forward(x):
 
 
 def upsample2x_backward(gy):
-    n, c, h2, w2 = gy.shape
-    return gy.reshape(n, c, h2 // 2, 2, w2 // 2, 2).sum(axis=(3, 5))
+    """Sum of each 2x2 window of gy [N, C, 2H, 2W]: pairs of columns,
+    then pairs of rows.  The + 0.0 turns a sum of four -0.0 into +0.0,
+    as numpy's reduction (which starts from +0.0) gives."""
+    a = gy[..., 0::2] + gy[..., 1::2]
+    return a[:, :, 0::2] + a[:, :, 1::2] + 0.0

@@ -23,8 +23,6 @@ collapse and makes the cross terms carry phase-free information.
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .diffcore import Tensor, magnitude_channels, mse
 from .errors import ValidationError
 from .fourier import fft2c_channels, ifft2c_channels

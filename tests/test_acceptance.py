@@ -8,13 +8,10 @@ few ulp away from the decimal literals).
 """
 
 import contextlib
-import csv
-import json
 import os
 import time
 
 import numpy as np
-import pytest
 
 from ddmc.acquisition import data_consistency_channels, make_mask
 from ddmc.cli import main as cli_main
@@ -31,7 +28,7 @@ from ddmc.models import (ReconNet, ReconNetConfig, RegNet, RegNetConfig,
 from ddmc.objectives import (LossWeights, parseval_collapse_check,
                              stage_loss, weighted_total)
 from ddmc.pipeline import (Checkpoint, RunLog, StagePlan, StageSettings,
-                           evaluate, forward_stage, train_all, train_stage)
+                           forward_stage, train_all)
 
 
 @contextlib.contextmanager

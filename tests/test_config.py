@@ -67,7 +67,6 @@ def test_snapshot_text_roundtrip(tmp_path):
 
 
 def test_default_text_parses_back():
-    import io
     import configparser
     parser = configparser.ConfigParser()
     parser.read_string(default_text())

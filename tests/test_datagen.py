@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from scipy.ndimage import binary_erosion
 
-from ddmc.datagen import (ContrastPairRecord, Dataset, DatasetManifest,
-                          PhantomSpec, augment_motion, build_dataset,
-                          gen_phantom_pair, phantom_class_map,
-                          read_record, record_path, write_record)
+from ddmc.datagen import (Dataset, DatasetManifest, PhantomSpec,
+                          augment_motion, build_dataset, gen_phantom_pair,
+                          phantom_class_map, read_record, record_path,
+                          write_record)
 from ddmc.errors import (BadMagicError, TruncatedFileError, ValidationError,
                          VersionMismatchError)
 from ddmc.geometry import RigidParams, invert

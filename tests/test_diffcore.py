@@ -11,7 +11,7 @@ from ddmc.diffcore import (AdamState, ParamSet, Tensor, adam_step,
 from ddmc.diffcore.init import bn_param, conv_param, fc_param
 from ddmc.diffcore.tensor import warp_rigid
 from ddmc.errors import (GraphError, OptimizerError, ParamError,
-                         RecordFormatError, TruncatedFileError)
+                         RecordFormatError, ShapeError, TruncatedFileError)
 
 RNG = np.random.default_rng(1234)
 
@@ -199,6 +199,16 @@ def test_concat_take_roundtrip_gradients():
     y = concat_channels([a, b])
     assert y.shape == (2, 5, 3, 3)
     assert np.array_equal(y.data[:, :2], a.data)
+
+
+def test_scale_by_rejects_constants_that_do_not_broadcast():
+    # one constant that cannot broadcast at all, one that would grow
+    # the result: both are shape errors, not numpy's ValueError
+    x = Tensor(np.zeros((1, 2, 12, 12)))
+    for c in (np.ones((16, 1)), np.ones((3, 2, 12, 12))):
+        with pytest.raises(ShapeError, match="does not broadcast"):
+            scale_by(x, c)
+    assert scale_by(x, np.ones((12, 1))).shape == x.shape
 
 
 def test_adam_zero_gradient_keeps_parameters():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import ddmc.kernels
 from ddmc.errors import ShapeError
 from ddmc.kernels import (conv2d_forward, conv2d_grad_input,
                           conv2d_grad_weights, maxpool2x2_backward,
@@ -166,6 +167,82 @@ def test_upsample2x_roundtrip(active):
     # backward sums the four copies
     g = upsample2x_backward(np.ones_like(y))
     assert np.array_equal(g, np.full_like(x, 4.0))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_upsample2x_backward_matches_reshape_sum(dtype):
+    # oracle: the window sum as a reshape and a two-axis numpy sum, bit
+    # for bit on random values, windows of four -0.0 (the sum is +0.0)
+    # and windows holding +-inf and NaN.  Only the sign of a NaN may
+    # differ: where two NaNs meet, which one survives depends on the
+    # operand order inside numpy's add loops, which numpy leaves open.
+    rng = np.random.default_rng(10)
+    gy = _specials(dtype, (3, 4, 12, 10), rng)
+    gy[0, 0, :4, :4] = -0.0
+    gy[1, 2, 2:4, 6:8] = [[np.inf, 1.0], [-np.inf, 2.0]]
+    n, c, h2, w2 = gy.shape
+    with np.errstate(invalid="ignore"):
+        want = gy.reshape(n, c, h2 // 2, 2, w2 // 2, 2).sum(axis=(3, 5))
+        got = upsample2x_backward(gy)
+    assert got.dtype == gy.dtype and got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(_bits(got)[~nan], _bits(want)[~nan])
+    assert _bits(got[0, 0, 0, 0]) == _bits(np.zeros((), dtype))
+    assert np.isnan(got[1, 2, 1, 3])
+
+
+def _unbounded(monkeypatch, f, *args):
+    """f(*args) with the im2col slab budget lifted: one GEMM."""
+    with monkeypatch.context() as m:
+        m.setattr(ddmc.kernels, "_SLAB_BYTES", 1 << 62)
+        return f(*args)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_conv2d_batch_chunks_are_bit_identical(monkeypatch, dtype, k):
+    # a budget of a little over one image's slab splits the batch into
+    # one-image chunks; two images' worth leaves a remainder chunk
+    rng = np.random.default_rng(11)
+    ci, co, h, w = 3, 4, 9, 10
+    one_image = ci * k * k * h * w * np.dtype(dtype).itemsize
+    wt = rng.standard_normal((co, ci, k, k)).astype(dtype)
+    b = rng.standard_normal(co).astype(dtype)
+    for n, budget in ((7, one_image + 1), (13, 2 * one_image)):
+        x = rng.standard_normal((n, ci, h, w)).astype(dtype)
+        gy = rng.standard_normal((n, co, h, w)).astype(dtype)
+        want_y = _unbounded(monkeypatch, conv2d_forward, x, wt, b)
+        want_gx = _unbounded(monkeypatch, conv2d_grad_input, gy, wt)
+        monkeypatch.setattr(ddmc.kernels, "_SLAB_BYTES", budget)
+        y = conv2d_forward(x, wt, b)
+        gx = conv2d_grad_input(gy, wt)
+        assert y.dtype == dtype and gx.dtype == dtype
+        assert y.flags.c_contiguous and gx.flags.c_contiguous
+        assert np.array_equal(_bits(y), _bits(want_y))
+        assert np.array_equal(_bits(gx), _bits(want_gx))
+
+
+@pytest.mark.parametrize("ci", [32, 4])
+def test_conv2d_slabs_stay_within_budget(monkeypatch, ci):
+    # every slab of a [16xCix64x64] forward fits the budget or holds a
+    # single image, and together the slabs cover the batch once; at 32
+    # channels one image's slab is over the budget, at 4 several fit
+    slabs = []
+    columns = ddmc.kernels._columns
+
+    def recording(x, k):
+        slabs.append((x.shape[0], columns(x, k)))
+        return slabs[-1][1]
+    monkeypatch.setattr(ddmc.kernels, "_columns", recording)
+    x = np.zeros((16, ci, 64, 64), np.float32)
+    y = conv2d_forward(x, np.zeros((16, ci, 3, 3), np.float32),
+                       np.zeros(16, np.float32))
+    assert y.shape == (16, 16, 64, 64)
+    assert len(slabs) > 1
+    assert sum(n for n, _ in slabs) == 16
+    for n, cols in slabs:
+        assert cols.nbytes <= ddmc.kernels._SLAB_BYTES or n == 1
 
 
 def test_warp_identity_is_exact(active):

@@ -5,7 +5,7 @@ import pytest
 
 from ddmc.diffcore import Tensor
 from ddmc.errors import ValidationError
-from ddmc.fourier import fft2c_channels, ifft2c_channels
+from ddmc.fourier import fft2c_channels
 from ddmc.objectives import (LossWeights, parseval_collapse_check,
                              stage_loss, weighted_total)
 
