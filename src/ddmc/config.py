@@ -26,15 +26,6 @@ def _int_tuple(text):
                               % text)
 
 
-def _bool(text):
-    t = str(text).strip().lower()
-    if t in ("1", "true", "yes", "on"):
-        return True
-    if t in ("0", "false", "no", "off"):
-        return False
-    raise ValidationError("expected a boolean, got %r" % text)
-
-
 def _choice(options):
     def conv(text):
         t = str(text).strip()

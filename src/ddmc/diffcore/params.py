@@ -53,17 +53,6 @@ class ParamSet:
         """Make the name -> shape map immutable (values stay writable)."""
         self._frozen = True
 
-    def replace(self, name, tensor):
-        """Swap the tensor object behind an existing name; the shape must
-        match so the frozen name -> shape map is preserved."""
-        old = self._tensors.get(name)
-        if old is None:
-            raise ParamError("unknown parameter %r" % name)
-        if tensor.shape != old.shape:
-            raise ParamError("shape %s cannot replace %s for %r"
-                             % (tensor.shape, old.shape, name))
-        self._tensors[name] = tensor
-
     def __getitem__(self, name):
         try:
             return self._tensors[name]
@@ -76,17 +65,11 @@ class ParamSet:
     def __len__(self):
         return len(self._tensors)
 
-    def names(self):
-        return list(self._tensors)
-
     def items(self):
         return list(self._tensors.items())
 
     def trainable_items(self):
         return [(n, t) for n, t in self._tensors.items() if t.requires_grad]
-
-    def n_values(self):
-        return sum(t.data.size for t in self._tensors.values())
 
     def zero_grads(self):
         for t in self._tensors.values():
@@ -142,20 +125,6 @@ class ParamSet:
             ps.add(name, Tensor(arr, requires_grad=trainable))
         ps.freeze()
         return ps, offset
-
-    def save(self, path):
-        with open(path, "wb") as f:
-            f.write(self.to_bytes())
-
-    @classmethod
-    def load(cls, path):
-        with open(path, "rb") as f:
-            buf = f.read()
-        ps, end = cls.from_bytes(buf)
-        if end != len(buf):
-            raise TruncatedFileError(
-                "%d trailing bytes after parameter blob" % (len(buf) - end))
-        return ps
 
     def content_hash(self):
         """SHA-256 over the serialized bytes; stable iff every value is."""

@@ -42,13 +42,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self):
-        return float(self.data)
-
-    def detach(self):
-        """A graph-free view of the same values."""
-        return Tensor(self.data)
-
     def zero_grad(self):
         self.grad = np.zeros_like(self.data) if not self._parents else None
 

@@ -14,7 +14,7 @@ a ParamSet; layers look their tensors up by name at call time, so a net
 built on loaded parameters reads them in place.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,30 +34,12 @@ class SynthNetConfig:
     base_channels: int = 16
     depth: int = 3
 
-    def to_dict(self):
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class RegNetConfig:
     in_size: int = 64
     channels: tuple = (16, 32, 32)
     fc_hidden: int = 64
-
-    def to_dict(self):
-        d = asdict(self)
-        d["channels"] = list(self.channels)
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        d["channels"] = tuple(d["channels"])
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -66,14 +48,6 @@ class ReconNetConfig:
     out_channels: int = 2
     base_channels: int = 16
     depth: int = 3
-    dc_enabled: bool = True
-
-    def to_dict(self):
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
 
 
 def _ensure_conv(ps, name, co, ci, k, rng):

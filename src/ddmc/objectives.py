@@ -136,8 +136,7 @@ def stage_loss(stage, outputs, ground_truth, weights, domain_mode="dual",
         l_ki = mse(fft2c_channels(out_i), gt_k)
         components["cross_ik"] = float(l_ik.data)
         components["cross_ki"] = float(l_ki.data)
-        a, b = weights.alpha, weights.beta
-        total = l_i + a * l_k + b * (l_ik + a * l_ki)
+        total = weighted_total(l_i, l_k, l_ik, l_ki, weights)
 
     return StageLossReport(stage=stage, domain_mode=domain_mode,
                            components=components, total=float(total.data),
@@ -160,7 +159,7 @@ def parseval_collapse_check(outputs, ground_truth, image_loss="complex"):
 
 
 def weighted_total(l_i, l_k, l_ik, l_ki, weights):
-    """The dual-domain combination as plain floats (for reporting and
-    for pinning the combination rule in tests)."""
+    """The dual-domain combination rule, on floats or on loss tensors
+    (stage_loss builds its dual total with it)."""
     a, b = weights.alpha, weights.beta
     return l_i + a * l_k + b * (l_ik + a * l_ki)

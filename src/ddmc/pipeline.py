@@ -19,11 +19,15 @@ Contrast modes change the reconstruction input and which stages exist:
 
 Domain modes select the image branch, the k-space branch, or both
 (each stage then carries the paired networks and the cross-domain
-losses).  Stage training fixes to the acquisition the networks will
-see at inference (moved reference, zero-filled fixed image) while the
-losses compare against motion-free ground truth; the synthesis stage
-itself trains on aligned pairs since it learns a pixelwise contrast
-map and the moved input is handled by equivariance.
+losses).  Both branches run the same stage code; one per-branch table,
+_BRANCHES, holds all that differs between them: the record fields of a
+branch's inputs and its maps to image space and to k-space.
+
+Stage training fixes to the acquisition the networks will see at
+inference (moved reference, zero-filled fixed image) while the losses
+compare against motion-free ground truth; the synthesis stage itself
+trains on aligned pairs since it learns a pixelwise contrast map and
+the moved input is handled by equivariance.
 """
 
 import csv
@@ -339,6 +343,36 @@ def prepare_record(rec, plan):
     return rt
 
 
+def _identity(x):
+    return x
+
+
+@dataclass(frozen=True)
+class _Branch:
+    """One branch's domain: the _RecordTensors fields holding its inputs
+    in that domain, and its maps to image space (where registration
+    warps) and to k-space (where data consistency acts)."""
+
+    ref_aligned: str
+    ref_moved: str
+    undersampled: str
+    to_image: object        # array: branch domain -> image space
+    from_image: object      # array: image space -> branch domain
+    from_image_t: object    # tensor: image space -> branch domain
+    to_kspace_t: object     # tensor: branch domain -> k-space
+    from_kspace_t: object   # tensor: k-space -> branch domain
+
+
+_BRANCHES = {
+    "image": _Branch("x_ref_al", "x_ref_mv", "x_u",
+                     _identity, _identity, _identity,
+                     fft2c_channels, ifft2c_channels),
+    "kspace": _Branch("k_ref_al", "k_ref_mv", "y_u",
+                      ifft2c_stack, fft2c_stack, fft2c_channels,
+                      _identity, _identity),
+}
+
+
 def _net_names(stage, plan):
     if stage == "synthesis":
         return tuple("synth_" + b for b in plan.branches())
@@ -414,69 +448,46 @@ def compute_stage_inputs(stage, plan, frozen, rt_map, ids):
     network input is built from.  Returns {record_id: {name: array}}.
     """
     ids = list(ids)
-    branches = plan.branches()
     out = {r: {} for r in ids}
 
     def put(name, stacked):
         for r, row in zip(ids, stacked):
             out[r][name] = row
 
-    if stage == "synthesis":
-        if "image" in branches:
-            put("in_image", _stack(rt_map, ids, "x_ref_al"))
-        if "kspace" in branches:
-            put("in_kspace", _stack(rt_map, ids, "k_ref_al"))
-        return out
+    def stack(attr):
+        return _stack(rt_map, ids, attr)
 
-    if stage == "registration":
-        if "image" in branches:
-            syn = _frozen_synth(frozen["synth_image"],
-                                _stack(rt_map, ids, "x_ref_mv"))
-            put("mov_image", syn)
-        if "kspace" in branches:
-            syn_k = _frozen_synth(frozen["synth_kspace"],
-                                  _stack(rt_map, ids, "k_ref_mv"))
-            put("mov_kspace", ifft2c_stack(syn_k))
-        put("x_u", _stack(rt_map, ids, "x_u"))
-        return out
+    def moved_synthetic(b):
+        # the frozen synthesis of the moved reference, in image space
+        br = _BRANCHES[b]
+        return br.to_image(_frozen_synth(frozen["synth_" + b],
+                                         stack(br.ref_moved)))
 
-    # reconstruction
-    x_u = _stack(rt_map, ids, "x_u")
-    y_u = _stack(rt_map, ids, "y_u")
-    if plan.contrast_mode == "single":
-        if "image" in branches:
-            put("in_image", x_u)
-        if "kspace" in branches:
-            put("in_kspace", y_u)
-    elif plan.contrast_mode == "concat":
-        if "image" in branches:
-            put("in_image", np.concatenate(
-                [_stack(rt_map, ids, "x_ref_mv"), x_u], axis=1))
-        if "kspace" in branches:
-            put("in_kspace", np.concatenate(
-                [_stack(rt_map, ids, "k_ref_mv"), y_u], axis=1))
-    else:
-        def register(mov):
-            return _apply_chunked(
+    for b in plan.branches():
+        br = _BRANCHES[b]
+        if stage == "synthesis":
+            put("in_" + b, stack(br.ref_aligned))
+        elif stage == "registration":
+            put("mov_" + b, moved_synthetic(b))
+        elif plan.contrast_mode == "single":
+            put("in_" + b, stack(br.undersampled))
+        elif plan.contrast_mode == "concat":
+            put("in_" + b, np.concatenate(
+                [stack(br.ref_moved), stack(br.undersampled)], axis=1))
+        else:
+            reg = _apply_chunked(
                 lambda m, f: register_refined(frozen["registration"], m, f,
                                               plan.reg_refine_iters)[1],
-                mov, x_u)
-
-        if "image" in branches:
-            syn = _frozen_synth(frozen["synth_image"],
-                                _stack(rt_map, ids, "x_ref_mv"))
-            reg = register(syn)
-            put("prior_image", reg)
-            put("in_image", np.concatenate([reg, x_u], axis=1))
-        if "kspace" in branches:
-            syn_k = _frozen_synth(frozen["synth_kspace"],
-                                  _stack(rt_map, ids, "k_ref_mv"))
-            reg_k = register(ifft2c_stack(syn_k))
-            put("prior_kspace", reg_k)
-            put("in_kspace", np.concatenate([fft2c_stack(reg_k), y_u], axis=1))
-    put("y_u", y_u)
-    for r in ids:
-        out[r]["plane"] = rt_map[r].plane
+                moved_synthetic(b), stack("x_u"))
+            put("prior_" + b, reg)
+            put("in_" + b, np.concatenate(
+                [br.from_image(reg), stack(br.undersampled)], axis=1))
+    if stage == "registration":
+        put("x_u", stack("x_u"))
+    elif stage != "synthesis":
+        put("y_u", stack("y_u"))
+        for r in ids:
+            out[r]["plane"] = rt_map[r].plane
     return out
 
 
@@ -494,41 +505,24 @@ def forward_stage(stage, plan, nets, batch):
     Returns the outputs dict that stage_loss consumes ([N, 2, H, W]
     re/im channel tensors per active branch).
     """
-    branches = plan.branches()
-    out = {}
-    if stage == "synthesis":
-        if "image" in branches:
-            out["image"] = nets["synth_image"](Tensor(batch["in_image"]))
-        if "kspace" in branches:
-            out["kspace"] = nets["synth_kspace"](Tensor(batch["in_kspace"]))
-    elif stage == "registration":
-        g = nets["registration"]
-        fixed = Tensor(batch["x_u"])
-        if "image" in branches:
-            mov = Tensor(batch["mov_image"])
-            out["image"] = warp_rigid(mov, g(mov, fixed))
-        if "kspace" in branches:
-            mov_k = Tensor(batch["mov_kspace"])
-            out["kspace"] = fft2c_channels(warp_rigid(mov_k, g(mov_k, fixed)))
-    elif stage == "reconstruction":
-        # data consistency, unless the net's config turns it off; the
-        # image branch round-trips its estimate through k-space for it
-        if "image" in branches:
-            net = nets["recon_image"]
-            out["image"] = net(Tensor(batch["in_image"]))
-            if net.config.dc_enabled:
-                k_dc = data_consistency_channels(fft2c_channels(out["image"]),
-                                                 batch["y_u"], batch["plane"])
-                out["image"] = ifft2c_channels(k_dc)
-        if "kspace" in branches:
-            net = nets["recon_kspace"]
-            out["kspace"] = net(Tensor(batch["in_kspace"]))
-            if net.config.dc_enabled:
-                out["kspace"] = data_consistency_channels(
-                    out["kspace"], batch["y_u"], batch["plane"])
-    else:
+    if stage not in STAGES:
         raise ValidationError("unknown stage %r, expected one of %s"
                               % (stage, ", ".join(STAGES)))
+    out = {}
+    for b in plan.branches():
+        br = _BRANCHES[b]
+        if stage == "synthesis":
+            out[b] = nets["synth_" + b](Tensor(batch["in_" + b]))
+        elif stage == "registration":
+            mov = Tensor(batch["mov_" + b])
+            g = nets["registration"](mov, Tensor(batch["x_u"]))
+            out[b] = br.from_image_t(warp_rigid(mov, g))
+        else:
+            # data consistency acts in k-space; the image branch
+            # round-trips its estimate through k-space for it
+            est = nets["recon_" + b](Tensor(batch["in_" + b]))
+            out[b] = br.from_kspace_t(data_consistency_channels(
+                br.to_kspace_t(est), batch["y_u"], batch["plane"]))
     return out
 
 
@@ -791,88 +785,54 @@ def evaluate(checkpoints, dataset, split, plan, with_outputs=False,
     nets = _nets_from_checkpoints(plan, checkpoints, required)
     rt_map = {r.record_id: prepare_record(r, plan) for r in recs}
     ids = [r.record_id for r in recs]
-    rec_by_id = {r.record_id: r for r in recs}
     branches = plan.branches()
 
-    # stage name -> branch -> {record_id: [2, H, W] image-space estimate}
-    estimates = {s: {b: {} for b in branches} for s in required}
-
+    # (stage, branch) -> [N, 2, H, W] image-space estimates, in ids order
+    estimates = {}
     recon_in = compute_stage_inputs("reconstruction", plan, nets, rt_map, ids)
-    if plan.contrast_mode == "fused":
-        if "image" in branches:
-            syn_al = _frozen_synth(nets["synth_image"],
-                                   _stack(rt_map, ids, "x_ref_al"))
-            for r, row in zip(ids, syn_al):
-                estimates["synthesis"]["image"][r] = row
-        if "kspace" in branches:
-            syn_al_k = _frozen_synth(nets["synth_kspace"],
-                                     _stack(rt_map, ids, "k_ref_al"))
-            for r, row in zip(ids, ifft2c_stack(syn_al_k)):
-                estimates["synthesis"]["kspace"][r] = row
-        for branch in branches:
-            for r in ids:
-                estimates["registration"][branch][r] = \
-                    recon_in[r]["prior_" + branch]
-
-    for ids_chunk in _batched(ids, chunk):
-        batch = _gather_batch(recon_in, rt_map, ids_chunk)
-        out = forward_stage("reconstruction", plan, nets, batch)
-        if "image" in branches:
-            for r, row in zip(ids_chunk, out["image"].data):
-                estimates["reconstruction"]["image"][r] = row
-        if "kspace" in branches:
-            for r, row in zip(ids_chunk, ifft2c_stack(out["kspace"].data)):
-                estimates["reconstruction"]["kspace"][r] = row
+    recon = [forward_stage("reconstruction", plan, nets,
+                           _gather_batch(recon_in, rt_map, ids_chunk))
+             for ids_chunk in _batched(ids, chunk)]
+    for b in branches:
+        br = _BRANCHES[b]
+        if plan.contrast_mode == "fused":
+            estimates["synthesis", b] = br.to_image(_frozen_synth(
+                nets["synth_" + b], _stack(rt_map, ids, br.ref_aligned)))
+            estimates["registration", b] = np.stack(
+                [recon_in[r]["prior_" + b] for r in ids])
+        estimates["reconstruction", b] = np.concatenate(
+            [br.to_image(out[b].data) for out in recon])
 
     per_record = []
-    values = {}
-    for stage in required:
-        for branch in branches:
-            vals = []
-            for r in ids:
-                rt = rt_map[r]
-                truth = _mag(rt.x_tgt)
-                est = _mag(estimates[stage][branch][r])
-                m = _metrics(est, truth, rt.brain_mask)
-                per_record.append({"record_id": r, "stage": stage,
-                                   "branch": branch, "psnr": m.psnr,
-                                   "ssim": m.ssim,
-                                   "n_pixels": m.n_pixels})
-                vals.append((m.psnr, m.ssim, m.n_pixels))
-            values[(stage, branch)] = vals
     aggregates = {}
-    for key, vals in values.items():
-        ps = np.array([v[0] for v in vals], dtype=np.float64)
-        ss = np.array([v[1] for v in vals], dtype=np.float64)
-        aggregates[key] = {"psnr_mean": float(ps.mean()),
-                           "psnr_std": float(ps.std()),
-                           "ssim_mean": float(ss.mean()),
-                           "ssim_std": float(ss.std()),
-                           "n": len(vals)}
+    for stage in required:
+        for b in branches:
+            ms = []
+            for r, est in zip(ids, estimates[stage, b]):
+                rt = rt_map[r]
+                m = _metrics(_mag(est), _mag(rt.x_tgt), rt.brain_mask)
+                per_record.append({"record_id": r, "stage": stage,
+                                   "branch": b, "psnr": m.psnr,
+                                   "ssim": m.ssim, "n_pixels": m.n_pixels})
+                ms.append(m)
+            agg = {"n": len(ms)}
+            for k in ("psnr", "ssim"):
+                v = np.array([getattr(m, k) for m in ms], dtype=np.float64)
+                agg[k + "_mean"] = float(v.mean())
+                agg[k + "_std"] = float(v.std())
+            aggregates[stage, b] = agg
 
     outputs = None
     if with_outputs:
+        # panels show the first branch; under dual the k-space branch's
+        # reconstruction joins them as recon_kspace
         outputs = []
-        for r in ids:
-            rt = rt_map[r]
-            panels = {"zero_filled": _mag(rt.x_u)}
-            if plan.contrast_mode == "fused":
-                if "image" in branches:
-                    panels["synthesis"] = _mag(
-                        estimates["synthesis"]["image"][r])
-                    panels["registration"] = _mag(
-                        estimates["registration"]["image"][r])
-                else:
-                    panels["synthesis"] = _mag(
-                        estimates["synthesis"]["kspace"][r])
-                    panels["registration"] = _mag(
-                        estimates["registration"]["kspace"][r])
-            final_branch = "image" if "image" in branches else "kspace"
-            panels["reconstruction"] = _mag(
-                estimates["reconstruction"][final_branch][r])
-            if plan.domain_mode == "dual":
-                panels["recon_kspace"] = _mag(
-                    estimates["reconstruction"]["kspace"][r])
+        for i, r in enumerate(ids):
+            panels = {"zero_filled": _mag(rt_map[r].x_u)}
+            for stage in required:
+                panels[stage] = _mag(estimates[stage, branches[0]][i])
+            for b in branches[1:]:
+                panels["recon_" + b] = _mag(estimates["reconstruction", b][i])
             outputs.append(panels)
     return EvalResult(split=split, per_record=per_record,
                       aggregates=aggregates, record_ids=ids,

@@ -11,6 +11,7 @@ from ddmc.datagen import Dataset, build_dataset
 import ddmc.pipeline
 from ddmc.errors import (CheckpointIntegrityError, NonFiniteLossError,
                          StageOrderError, TruncatedFileError, ValidationError)
+from ddmc.evalkit import psnr
 from ddmc.models import RegNet, SynthNet
 from ddmc.pipeline import (Checkpoint, RunLog, StagePlan, StageSettings,
                            cell_name, check_stage_order, evaluate,
@@ -247,6 +248,29 @@ def test_evaluate_with_outputs_panels(dataset):
     panels = res.outputs[0]
     assert "zero_filled" in panels
     assert "reconstruction" in panels
+
+
+@pytest.mark.parametrize("domain_mode", ["kspace", "dual"])
+def test_fused_eval_panels_show_the_scored_estimates(dataset, domain_mode):
+    plan = tiny_plan(domain_mode=domain_mode)
+    res = evaluate(train_all(dataset, plan, seed=6), dataset, "test", plan,
+                   with_outputs=True)
+    # panel -> the (stage, branch) whose per-record row scores it
+    first = plan.branches()[0]
+    shown = {s: (s, first)
+             for s in ("synthesis", "registration", "reconstruction")}
+    if domain_mode == "dual":
+        shown["recon_kspace"] = ("reconstruction", "kspace")
+    scores = {(row["record_id"], row["stage"], row["branch"]): row["psnr"]
+              for row in res.per_record}
+    records = dataset.split("test")
+    assert len(res.outputs) == len(records)
+    for rec, panels in zip(records, res.outputs):
+        assert set(panels) == {"zero_filled"} | set(shown)
+        truth = rec.tgt.magnitude()
+        for name, (stage, branch) in shown.items():
+            assert psnr(panels[name], truth, rec.brain_mask) == \
+                scores[rec.record_id, stage, branch], name
 
 
 def test_fused_evaluate_computes_each_result_once(dataset, monkeypatch):
