@@ -11,7 +11,9 @@ ReconNet   reconstruction, a U-Net over the fused input channels whose
 
 Networks run on [N, 2, H, W] re/im channel tensors.  Parameters live in
 a ParamSet; layers look their tensors up by name at call time, so a net
-built on loaded parameters reads them in place.
+built on loaded parameters reads them in place.  Every net first builds
+its layout with fresh parameters; loaded ones must match it name for
+name and shape for shape, in order, or the net raises ParamError.
 """
 
 from dataclasses import dataclass
@@ -50,36 +52,6 @@ class ReconNetConfig:
     depth: int = 3
 
 
-def _ensure_conv(ps, name, co, ci, k, rng):
-    wname = name + ".w"
-    if wname in ps:
-        if ps[wname].shape != (co, ci, k, k):
-            raise ParamError("loaded %r has shape %s, expected %s"
-                             % (wname, ps[wname].shape, (co, ci, k, k)))
-        return
-    conv_param(ps, name, co, ci, k, rng)
-
-
-def _ensure_bn(ps, name, c):
-    gname = name + ".gamma"
-    if gname in ps:
-        if ps[gname].shape != (c,):
-            raise ParamError("loaded %r has shape %s, expected (%d,)"
-                             % (gname, ps[gname].shape, c))
-        return
-    bn_param(ps, name, c)
-
-
-def _ensure_fc(ps, name, n_out, n_in, rng, zero_init=False):
-    wname = name + ".w"
-    if wname in ps:
-        if ps[wname].shape != (n_out, n_in):
-            raise ParamError("loaded %r has shape %s, expected %s"
-                             % (wname, ps[wname].shape, (n_out, n_in)))
-        return
-    fc_param(ps, name, n_out, n_in, rng, zero_init=zero_init)
-
-
 class _ConvBNRelu:
     """conv 3x3 -> batchnorm -> relu, parameters fetched by name at
     call time so rebinding the owning net's ParamSet just works."""
@@ -87,8 +59,8 @@ class _ConvBNRelu:
     def __init__(self, net, name, ci, co, rng):
         self.net = net
         self.name = name
-        _ensure_conv(net.params, name + ".conv", co, ci, 3, rng)
-        _ensure_bn(net.params, name + ".bn", co)
+        conv_param(net.params, name + ".conv", co, ci, 3, rng)
+        bn_param(net.params, name + ".bn", co)
 
     def __call__(self, x):
         ps = self.net.params
@@ -100,17 +72,39 @@ class _ConvBNRelu:
         return relu(y)
 
 
+def _layout_mismatch(built, loaded):
+    """The first way `loaded` departs from the names and shapes of
+    `built`, in order, or None if it fits."""
+    want = [(n, t.shape) for n, t in built.items()]
+    got = [(n, t.shape) for n, t in loaded.items()]
+    for (wn, ws), (gn, gs) in zip(want, got):
+        if wn != gn:
+            return "found %r where %r belongs" % (gn, wn)
+        if ws != gs:
+            return "%r has shape %s, expected %s" % (gn, gs, ws)
+    if len(got) > len(want):
+        return "unexpected %r" % got[len(want)][0]
+    if len(got) < len(want):
+        return "missing %r" % want[len(got)][0]
+    return None
+
+
 class _Network:
-    """Shared constructor: build fresh params or bind to loaded ones."""
+    """Shared constructor: build the layout with fresh params, then bind
+    loaded params in their place if given."""
 
     def __init__(self, config, params=None, rng=None):
         self.config = config
         self.training = True
-        fresh = params is None
-        self.params = ParamSet() if fresh else params
+        self.params = ParamSet()
         self._build(rng if rng is not None else np.random.default_rng(0))
-        if fresh:
-            self.params.freeze()
+        self.params.freeze()
+        if params is not None:
+            bad = _layout_mismatch(self.params, params)
+            if bad:
+                raise ParamError("loaded parameters do not fit %s: %s"
+                                 % (type(self).__name__, bad))
+            self.params = params
 
     def train_mode(self):
         self.training = True
@@ -144,7 +138,7 @@ class _UNet:
                                        chans[l + 1], chans[l], rng))
             self.dec.append(_ConvBNRelu(net, "%sdec%d" % (prefix, l),
                                         2 * chans[l], chans[l], rng))
-        _ensure_conv(net.params, prefix + "out", cout, base, 3, rng)
+        conv_param(net.params, prefix + "out", cout, base, 3, rng)
 
     def __call__(self, x):
         div = 2 ** (self.depth - 1)
@@ -218,8 +212,8 @@ class RegNet(_Network):
             ci = co
         side = c.in_size // 2 ** len(c.channels)
         self.flat_dim = side * side * c.channels[-1]
-        _ensure_fc(self.params, "fc1", c.fc_hidden, self.flat_dim, rng)
-        _ensure_fc(self.params, "fc2", 3, c.fc_hidden, rng, zero_init=True)
+        fc_param(self.params, "fc1", c.fc_hidden, self.flat_dim, rng)
+        fc_param(self.params, "fc2", 3, c.fc_hidden, rng, zero_init=True)
 
     def __call__(self, moving, fixed):
         if moving.shape != fixed.shape:

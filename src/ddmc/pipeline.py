@@ -4,8 +4,12 @@ Training follows a fixed stage order (synthesis, registration,
 reconstruction) with freeze-and-advance semantics: a stage trains only
 its own networks while all earlier stages' parameters are loaded from
 finalised checkpoints, switched to inference mode, and never updated.
-Inputs that flow out of frozen networks are precomputed once per stage
-per record, which keeps epochs cheap.
+
+Each split is prepared once into a record table: every per-record
+array stacked in split order into an [N, ...] array.  The inputs that
+flow out of frozen networks are computed once per stage over a whole
+table, which keeps epochs cheap, and every training, validation and
+evaluation batch is taken from those stacks by row index.
 
 Contrast modes change the reconstruction input and which stages exist:
 
@@ -304,7 +308,6 @@ def _sub_seed(root, record_id):
 class _RecordTensors:
     """Constant per-record arrays ([2, H, W] float32 channel stacks)."""
 
-    record_id: int
     brain_mask: np.ndarray
     mask: object
     plane: np.ndarray          # [1, H, 1]
@@ -332,15 +335,23 @@ def prepare_record(rec, plan):
     k_tgt = fft2c_stack(x_tgt)
     y_u = k_tgt * plane
     x_u = ifft2c_stack(y_u)
-    rt = _RecordTensors(record_id=rec.record_id, brain_mask=rec.brain_mask,
-                        mask=mask, plane=plane, x_tgt=x_tgt, k_tgt=k_tgt,
-                        y_u=y_u, x_u=x_u)
+    rt = _RecordTensors(brain_mask=rec.brain_mask, mask=mask, plane=plane,
+                        x_tgt=x_tgt, k_tgt=k_tgt, y_u=y_u, x_u=x_u)
     if plan.contrast_mode != "single":
         rt.x_ref_al = rec.ref_aligned.channels()
         rt.k_ref_al = fft2c_stack(rt.x_ref_al)
         rt.x_ref_mv = rec.ref_moved.channels()
         rt.k_ref_mv = fft2c_stack(rt.x_ref_mv)
     return rt
+
+
+def _record_table(recs, plan):
+    """A split's record table: each array field of prepare_record,
+    stacked over the records in split order into one [N, ...] array."""
+    rts = [prepare_record(r, plan) for r in recs]
+    return {name: np.stack([getattr(rt, name) for rt in rts])
+            for name, v in vars(rts[0]).items()
+            if isinstance(v, np.ndarray)}
 
 
 def _identity(x):
@@ -350,12 +361,14 @@ def _identity(x):
 @dataclass(frozen=True)
 class _Branch:
     """One branch's domain: the _RecordTensors fields holding its inputs
-    in that domain, and its maps to image space (where registration
-    warps) and to k-space (where data consistency acts)."""
+    and its ground truth in that domain, and its maps to image space
+    (where registration warps) and to k-space (where data consistency
+    acts)."""
 
     ref_aligned: str
     ref_moved: str
     undersampled: str
+    target: str
     to_image: object        # array: branch domain -> image space
     from_image: object      # array: image space -> branch domain
     from_image_t: object    # tensor: image space -> branch domain
@@ -364,10 +377,10 @@ class _Branch:
 
 
 _BRANCHES = {
-    "image": _Branch("x_ref_al", "x_ref_mv", "x_u",
+    "image": _Branch("x_ref_al", "x_ref_mv", "x_u", "x_tgt",
                      _identity, _identity, _identity,
                      fft2c_channels, ifft2c_channels),
-    "kspace": _Branch("k_ref_al", "k_ref_mv", "y_u",
+    "kspace": _Branch("k_ref_al", "k_ref_mv", "y_u", "k_tgt",
                       ifft2c_stack, fft2c_stack, fft2c_channels,
                       _identity, _identity),
 }
@@ -419,18 +432,22 @@ def _nets_from_checkpoints(plan, checkpoints, stages_needed):
     return nets
 
 
-def _batched(ids, size):
-    for i in range(0, len(ids), size):
-        yield ids[i:i + size]
+# rows per forward pass when a frozen or evaluated net runs over a split
+_CHUNK = 16
 
 
-def _stack(rt_map, ids, attr):
-    return np.stack([getattr(rt_map[r], attr) for r in ids])
+def _batched(rows, size):
+    for i in range(0, len(rows), size):
+        yield rows[i:i + size]
 
 
-def _apply_chunked(fn, *arrays, chunk=16):
-    parts = [fn(*(a[i:i + chunk] for a in arrays))
-             for i in range(0, len(arrays[0]), chunk)]
+def _take(arrays, rows):
+    return {n: a[rows] for n, a in arrays.items()}
+
+
+def _apply_chunked(fn, *arrays):
+    parts = [fn(*(a[i:i + _CHUNK] for a in arrays))
+             for i in range(0, len(arrays[0]), _CHUNK)]
     return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
 
@@ -438,65 +455,52 @@ def _frozen_synth(net, x):
     return _apply_chunked(lambda a: net(Tensor(a)).data, x)
 
 
-def compute_stage_inputs(stage, plan, frozen, rt_map, ids):
-    """Per-record input arrays for a stage, with earlier stages applied.
+def compute_stage_inputs(stage, plan, frozen, table):
+    """A stage's input arrays for one split, with earlier stages applied.
 
-    Everything upstream of the trained stage is constant, so each
-    record's inputs are computed once here instead of every epoch.  In
-    fused mode the reconstruction inputs also hold prior_<branch>: the
-    registered synthetic image, in image space, that the branch's
-    network input is built from.  Returns {record_id: {name: array}}.
+    `table` is the split's record table.  Everything upstream of the
+    trained stage is constant, so the inputs are computed once here
+    over the whole split instead of every epoch.  Returns {name: [N,
+    ...] array} with row i built from the split's i-th record.  Every
+    stage gets gt_<branch>, the branch's motion-free target, for the
+    plan's branches only.  In fused mode the reconstruction inputs also
+    hold prior_<branch>: the registered synthetic image, in image
+    space, that the branch's network input is built from.
     """
-    ids = list(ids)
-    out = {r: {} for r in ids}
-
-    def put(name, stacked):
-        for r, row in zip(ids, stacked):
-            out[r][name] = row
-
-    def stack(attr):
-        return _stack(rt_map, ids, attr)
+    out = {}
 
     def moved_synthetic(b):
         # the frozen synthesis of the moved reference, in image space
         br = _BRANCHES[b]
         return br.to_image(_frozen_synth(frozen["synth_" + b],
-                                         stack(br.ref_moved)))
+                                         table[br.ref_moved]))
 
     for b in plan.branches():
         br = _BRANCHES[b]
+        out["gt_" + b] = table[br.target]
         if stage == "synthesis":
-            put("in_" + b, stack(br.ref_aligned))
+            out["in_" + b] = table[br.ref_aligned]
         elif stage == "registration":
-            put("mov_" + b, moved_synthetic(b))
+            out["mov_" + b] = moved_synthetic(b)
         elif plan.contrast_mode == "single":
-            put("in_" + b, stack(br.undersampled))
+            out["in_" + b] = table[br.undersampled]
         elif plan.contrast_mode == "concat":
-            put("in_" + b, np.concatenate(
-                [stack(br.ref_moved), stack(br.undersampled)], axis=1))
+            out["in_" + b] = np.concatenate(
+                [table[br.ref_moved], table[br.undersampled]], axis=1)
         else:
             reg = _apply_chunked(
                 lambda m, f: register_refined(frozen["registration"], m, f,
                                               plan.reg_refine_iters)[1],
-                moved_synthetic(b), stack("x_u"))
-            put("prior_" + b, reg)
-            put("in_" + b, np.concatenate(
-                [br.from_image(reg), stack(br.undersampled)], axis=1))
+                moved_synthetic(b), table["x_u"])
+            out["prior_" + b] = reg
+            out["in_" + b] = np.concatenate(
+                [br.from_image(reg), table[br.undersampled]], axis=1)
     if stage == "registration":
-        put("x_u", stack("x_u"))
+        out["x_u"] = table["x_u"]
     elif stage != "synthesis":
-        put("y_u", stack("y_u"))
-        for r in ids:
-            out[r]["plane"] = rt_map[r].plane
+        out["y_u"] = table["y_u"]
+        out["plane"] = table["plane"]
     return out
-
-
-def _gather_batch(stage_in, rt_map, ids):
-    names = stage_in[ids[0]].keys()
-    batch = {n: np.stack([stage_in[r][n] for r in ids]) for n in names}
-    batch["gt_image"] = _stack(rt_map, ids, "x_tgt")
-    batch["gt_kspace"] = _stack(rt_map, ids, "k_tgt")
-    return batch
 
 
 def forward_stage(stage, plan, nets, batch):
@@ -526,26 +530,24 @@ def forward_stage(stage, plan, nets, batch):
     return out
 
 
-def _batch_loss(stage, plan, nets, stage_in, rt_map, ids):
-    batch = _gather_batch(stage_in, rt_map, ids)
+def _batch_loss(stage, plan, nets, batch):
     outputs = forward_stage(stage, plan, nets, batch)
-    gt = {"image": Tensor(batch["gt_image"]),
-          "kspace": Tensor(batch["gt_kspace"])}
+    gt = {b: Tensor(batch["gt_" + b]) for b in plan.branches()}
     return stage_loss(stage, outputs, gt, plan.weights,
                       domain_mode=plan.domain_mode,
                       image_loss=plan.image_loss)
 
 
-def _validation_loss(stage, plan, nets, stage_in, rt_map, ids, batch_size):
+def _validation_loss(stage, plan, nets, stage_in, n, batch_size):
     for net in nets.values():
         net.eval_mode()
     total = 0.0
-    for chunk in _batched(ids, batch_size):
-        rep = _batch_loss(stage, plan, nets, stage_in, rt_map, chunk)
-        total += rep.total * len(chunk)
+    for rows in _batched(np.arange(n), batch_size):
+        rep = _batch_loss(stage, plan, nets, _take(stage_in, rows))
+        total += rep.total * len(rows)
     for net in nets.values():
         net.train_mode()
-    return total / len(ids)
+    return total / n
 
 
 def _snapshot(param_sets):
@@ -557,6 +559,28 @@ def _restore(param_sets, snap):
     for name, ps in param_sets.items():
         for n, t in ps.items():
             t.data[...] = snap[name][n]
+
+
+def _check_checkpoints(stages, plan, checkpoints, needed_by):
+    """Each of `stages` must have a finalised checkpoint, trained as that
+    stage under this plan."""
+    for s in stages:
+        ck = checkpoints.get(s) if checkpoints else None
+        if ck is None:
+            raise StageOrderError(
+                "%s requires a finalised %r checkpoint; %r has not been "
+                "trained" % (needed_by, s, s))
+        if not ck.finalised:
+            raise CheckpointIntegrityError(
+                "checkpoint for stage %r is not finalised; rerun it to "
+                "completion before %s" % (s, needed_by))
+        if ck.stage != s:
+            raise CheckpointIntegrityError(
+                "checkpoint supplied for %r was trained as %r" % (s, ck.stage))
+        if ck.config != plan.to_dict():
+            raise CheckpointIntegrityError(
+                "checkpoint for %r was trained under a different plan; "
+                "regenerate the chain with one config" % s)
 
 
 def check_stage_order(stage, plan, checkpoints):
@@ -571,24 +595,7 @@ def check_stage_order(stage, plan, checkpoints):
             "stage %r is bypassed under contrast mode %r; train %s instead"
             % (stage, plan.contrast_mode, " -> ".join(required)))
     prior = required[:required.index(stage)]
-    for pre in prior:
-        ck = checkpoints.get(pre) if checkpoints else None
-        if ck is None:
-            raise StageOrderError(
-                "stage %r requires a finalised %r checkpoint; %r has not "
-                "been trained" % (stage, pre, pre))
-        if not ck.finalised:
-            raise CheckpointIntegrityError(
-                "checkpoint for stage %r is not finalised; rerun it to "
-                "completion before training %r" % (pre, stage))
-        if ck.stage != pre:
-            raise CheckpointIntegrityError(
-                "checkpoint supplied for %r was trained as %r" % (pre,
-                                                                  ck.stage))
-        if ck.config != plan.to_dict():
-            raise CheckpointIntegrityError(
-                "checkpoint for %r was trained under a different plan; "
-                "regenerate the chain with one config" % pre)
+    _check_checkpoints(prior, plan, checkpoints, "stage %r" % stage)
     return prior
 
 
@@ -637,14 +644,11 @@ def train_stage(stage, dataset, plan, checkpoints=None, seed=0,
         raise ValidationError("training needs non-empty train and val "
                               "splits, got %d/%d"
                               % (len(train_recs), len(val_recs)))
-    rt_map = {r.record_id: prepare_record(r, plan)
-              for r in train_recs + val_recs}
-    train_ids = [r.record_id for r in train_recs]
-    val_ids = [r.record_id for r in val_recs]
-
     frozen = _nets_from_checkpoints(plan, checkpoints or {}, prior)
-    train_in = compute_stage_inputs(stage, plan, frozen, rt_map, train_ids)
-    val_in = compute_stage_inputs(stage, plan, frozen, rt_map, val_ids)
+    train_in = compute_stage_inputs(stage, plan, frozen,
+                                    _record_table(train_recs, plan))
+    val_in = compute_stage_inputs(stage, plan, frozen,
+                                  _record_table(val_recs, plan))
 
     nets = {}
     for k, name in enumerate(_net_names(stage, plan)):
@@ -663,11 +667,11 @@ def train_stage(stage, dataset, plan, checkpoints=None, seed=0,
     for epoch in range(settings.max_epochs):
         rng = np.random.default_rng(
             np.random.SeedSequence([seed, stage_idx, epoch, 7]))
-        order = [train_ids[i] for i in rng.permutation(len(train_ids))]
-        for ids in _batched(order, settings.batch_size):
+        for rows in _batched(rng.permutation(len(train_recs)),
+                             settings.batch_size):
             for ps, _ in opt:
                 ps.zero_grads()
-            rep = _batch_loss(stage, plan, nets, train_in, rt_map, ids)
+            rep = _batch_loss(stage, plan, nets, _take(train_in, rows))
             _check_finite(rep.total, "training", stage, epoch, step)
             rep.total_node.backward()
             for ps, st in opt:
@@ -675,8 +679,8 @@ def train_stage(stage, dataset, plan, checkpoints=None, seed=0,
             if run_log is not None:
                 run_log.log_step(step, rep)
             step += 1
-        val_loss = _validation_loss(stage, plan, nets, val_in, rt_map,
-                                    val_ids, settings.batch_size)
+        val_loss = _validation_loss(stage, plan, nets, val_in,
+                                    len(val_recs), settings.batch_size)
         _check_finite(val_loss, "validation", stage, epoch, step - 1)
         history.append(val_loss)
         if run_log is not None:
@@ -711,22 +715,9 @@ def train_all(dataset, plan, seed=0, out_dir=None, run_log=None):
     return checkpoints
 
 
-def _check_eval_checkpoints(plan, checkpoints):
-    for stage in plan.required_stages():
-        ck = checkpoints.get(stage) if checkpoints else None
-        if ck is None:
-            raise StageOrderError("evaluation needs a finalised %r "
-                                  "checkpoint" % stage)
-        if not ck.finalised:
-            raise CheckpointIntegrityError("checkpoint for %r is not "
-                                           "finalised" % stage)
-        if ck.config != plan.to_dict():
-            raise CheckpointIntegrityError(
-                "checkpoint for %r does not match the evaluation plan" % stage)
-
-
 def _mag(ch):
-    return np.hypot(ch[0], ch[1])
+    """Magnitudes of [..., 2, H, W] re/im channel stacks."""
+    return np.hypot(ch[..., 0, :, :], ch[..., 1, :, :])
 
 
 @dataclass
@@ -734,7 +725,6 @@ class EvalResult:
     split: str
     per_record: list
     aggregates: dict
-    record_ids: list
     outputs: list = None
 
     def aggregate_rows(self, plan, cell_id=""):
@@ -767,8 +757,7 @@ class EvalResult:
         return row
 
 
-def evaluate(checkpoints, dataset, split, plan, with_outputs=False,
-             chunk=16):
+def evaluate(checkpoints, dataset, split, plan, with_outputs=False):
     """Metrics for every stage that exists under the plan's modes.
 
     The final row per branch is the reconstruction after data
@@ -777,43 +766,44 @@ def evaluate(checkpoints, dataset, split, plan, with_outputs=False,
     EvalResult with per-record rows and per-(stage, branch) aggregates.
     """
     plan.validate()
-    _check_eval_checkpoints(plan, checkpoints)
+    required = plan.required_stages()
+    _check_checkpoints(required, plan, checkpoints, "evaluation")
     recs = dataset.split(split)
     if not recs:
         raise ValidationError("split %r is empty" % split)
-    required = plan.required_stages()
     nets = _nets_from_checkpoints(plan, checkpoints, required)
-    rt_map = {r.record_id: prepare_record(r, plan) for r in recs}
-    ids = [r.record_id for r in recs]
+    table = _record_table(recs, plan)
     branches = plan.branches()
 
-    # (stage, branch) -> [N, 2, H, W] image-space estimates, in ids order
+    # (stage, branch) -> [N, 2, H, W] image-space estimates, in split order
     estimates = {}
-    recon_in = compute_stage_inputs("reconstruction", plan, nets, rt_map, ids)
+    recon_in = compute_stage_inputs("reconstruction", plan, nets, table)
     recon = [forward_stage("reconstruction", plan, nets,
-                           _gather_batch(recon_in, rt_map, ids_chunk))
-             for ids_chunk in _batched(ids, chunk)]
+                           _take(recon_in, rows))
+             for rows in _batched(np.arange(len(recs)), _CHUNK)]
     for b in branches:
         br = _BRANCHES[b]
         if plan.contrast_mode == "fused":
             estimates["synthesis", b] = br.to_image(_frozen_synth(
-                nets["synth_" + b], _stack(rt_map, ids, br.ref_aligned)))
-            estimates["registration", b] = np.stack(
-                [recon_in[r]["prior_" + b] for r in ids])
+                nets["synth_" + b], table[br.ref_aligned]))
+            estimates["registration", b] = recon_in["prior_" + b]
         estimates["reconstruction", b] = np.concatenate(
             [br.to_image(out[b].data) for out in recon])
+    mags = {key: _mag(est) for key, est in estimates.items()}
+    target = _mag(table["x_tgt"])
 
     per_record = []
     aggregates = {}
     for stage in required:
         for b in branches:
             ms = []
-            for r, est in zip(ids, estimates[stage, b]):
-                rt = rt_map[r]
-                m = _metrics(_mag(est), _mag(rt.x_tgt), rt.brain_mask)
-                per_record.append({"record_id": r, "stage": stage,
-                                   "branch": b, "psnr": m.psnr,
-                                   "ssim": m.ssim, "n_pixels": m.n_pixels})
+            for rec, est, tgt, brain in zip(recs, mags[stage, b], target,
+                                            table["brain_mask"]):
+                m = _metrics(est, tgt, brain)
+                per_record.append({"record_id": rec.record_id,
+                                   "stage": stage, "branch": b,
+                                   "psnr": m.psnr, "ssim": m.ssim,
+                                   "n_pixels": m.n_pixels})
                 ms.append(m)
             agg = {"n": len(ms)}
             for k in ("psnr", "ssim"):
@@ -826,17 +816,17 @@ def evaluate(checkpoints, dataset, split, plan, with_outputs=False,
     if with_outputs:
         # panels show the first branch; under dual the k-space branch's
         # reconstruction joins them as recon_kspace
+        zero_filled = _mag(table["x_u"])
         outputs = []
-        for i, r in enumerate(ids):
-            panels = {"zero_filled": _mag(rt_map[r].x_u)}
+        for i in range(len(recs)):
+            panels = {"zero_filled": zero_filled[i]}
             for stage in required:
-                panels[stage] = _mag(estimates[stage, branches[0]][i])
+                panels[stage] = mags[stage, branches[0]][i]
             for b in branches[1:]:
-                panels["recon_" + b] = _mag(estimates["reconstruction", b][i])
+                panels["recon_" + b] = mags["reconstruction", b][i]
             outputs.append(panels)
     return EvalResult(split=split, per_record=per_record,
-                      aggregates=aggregates, record_ids=ids,
-                      outputs=outputs)
+                      aggregates=aggregates, outputs=outputs)
 
 
 RECORD_METRIC_COLUMNS = ("record_id", "stage", "branch", "psnr", "ssim",

@@ -80,7 +80,7 @@ def test_compose_matches_point_action():
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
-def test_apply_rigid_identity_exact():
+def test_warp_forward_identity_exact():
     rng = np.random.default_rng(3)
     img = np.stack([rng.standard_normal((16, 16)),
                     rng.standard_normal((16, 16))])
@@ -88,7 +88,7 @@ def test_apply_rigid_identity_exact():
     assert np.array_equal(out, img)
 
 
-def test_apply_rigid_roundtrip_interior():
+def test_warp_forward_roundtrip_interior():
     # warp then inverse warp returns the original away from the border,
     # up to bilinear smoothing of the double resample
     rng = np.random.default_rng(4)
@@ -103,7 +103,7 @@ def test_apply_rigid_roundtrip_interior():
     assert np.max(np.abs(back[0][inner] - base[inner])) < 0.05
 
 
-def test_apply_rigid_integer_translation():
+def test_warp_forward_integer_translation():
     img = np.zeros((8, 8))
     img[2, 3] = 1.0
     out = warp(np.stack([img, np.zeros_like(img)]),

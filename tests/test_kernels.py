@@ -12,13 +12,6 @@ from ddmc.kernels import (conv2d_forward, conv2d_grad_input,
                           zero_unless)
 
 
-@pytest.fixture(params=["numpy"])
-def active(request):
-    """The kernel implementation under test: numpy, the only one.  The
-    parameter keeps the test ids the suite has always reported."""
-    return request.param
-
-
 def conv2d_loops(x, w, b):
     """Quadruple-loop same-padding convolution, the oracle."""
     n, ci, h, wd = x.shape
@@ -41,7 +34,7 @@ def conv2d_loops(x, w, b):
     return out
 
 
-def test_conv2d_forward_matches_loops(active):
+def test_conv2d_forward_matches_loops():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((2, 3, 5, 6)).astype(np.float32)
     w = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
@@ -51,7 +44,7 @@ def test_conv2d_forward_matches_loops(active):
     assert np.max(np.abs(got - want)) < 1e-4
 
 
-def test_conv2d_gradients_match_loop_oracle(active):
+def test_conv2d_gradients_match_loop_oracle():
     # d loss / d x and d loss / d w for loss = sum(conv * gy), via the
     # definition: perturbing one element changes the loss by the sum of
     # the products it participates in.  Small sizes keep loops cheap.
@@ -79,14 +72,14 @@ def test_conv2d_gradients_match_loop_oracle(active):
     assert np.allclose(gb, gy.sum(axis=(0, 2, 3)))
 
 
-def test_conv2d_rejects_even_kernels(active):
+def test_conv2d_rejects_even_kernels():
     x = np.zeros((1, 1, 4, 4), np.float32)
     w = np.zeros((1, 1, 2, 2), np.float32)
     with pytest.raises(ShapeError):
         conv2d_forward(x, w, np.zeros(1, np.float32))
 
 
-def test_maxpool_forward_and_indices(active):
+def test_maxpool_forward_and_indices():
     x = np.array([[[[1., 2., 5., 4.],
                     [3., 0., 6., 7.],
                     [9., 8., 1., 1.],
@@ -102,7 +95,7 @@ def test_maxpool_forward_and_indices(active):
     assert gx[0, 0, 2, 0] == 1.0
 
 
-def test_maxpool_tie_breaks_to_first(active):
+def test_maxpool_tie_breaks_to_first():
     x = np.full((1, 1, 2, 2), 3.0, np.float32)
     y, idx = maxpool2x2_forward(x)
     gx = maxpool2x2_backward(np.ones_like(y), idx, 2, 2)
@@ -157,7 +150,7 @@ def test_maxpool_matches_argmax_oracle(dtype):
     assert np.array_equal(_bits(gwin), _bits(want_g))
 
 
-def test_upsample2x_roundtrip(active):
+def test_upsample2x_roundtrip():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((2, 3, 4, 5)).astype(np.float32)
     y = upsample2x_forward(x)
@@ -245,7 +238,7 @@ def test_conv2d_slabs_stay_within_budget(monkeypatch, ci):
         assert cols.nbytes <= ddmc.kernels._SLAB_BYTES or n == 1
 
 
-def test_warp_identity_is_exact(active):
+def test_warp_identity_is_exact():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((2, 2, 8, 8)).astype(np.float32)
     z = np.zeros(2, np.float32)
@@ -253,7 +246,7 @@ def test_warp_identity_is_exact(active):
     assert np.array_equal(out, x)
 
 
-def test_warp_quarter_turn_permutes_indices(active):
+def test_warp_quarter_turn_permutes_indices():
     # at theta = 90 degrees about the centre, out[i, j] = in[H-1-j, i]
     h = 9
     rng = np.random.default_rng(4)
@@ -268,7 +261,7 @@ def test_warp_quarter_turn_permutes_indices(active):
     assert np.max(np.abs(out - want)) < 1e-10
 
 
-def test_warp_integer_translation_shifts_rows(active):
+def test_warp_integer_translation_shifts_rows():
     x = np.zeros((1, 1, 6, 6), np.float32)
     x[0, 0, 2, 3] = 1.0
     out = warp_forward(x, np.array([1.0], np.float32),
@@ -279,14 +272,14 @@ def test_warp_integer_translation_shifts_rows(active):
     assert out.sum() == 1.0
 
 
-def test_warp_out_of_frame_is_zero(active):
+def test_warp_out_of_frame_is_zero():
     x = np.ones((1, 1, 4, 4), np.float32)
     out = warp_forward(x, np.array([10.0], np.float32),
                        np.zeros(1, np.float32), np.zeros(1, np.float32))
     assert np.all(out == 0.0)
 
 
-def test_warp_param_gradients_match_finite_differences(active):
+def test_warp_param_gradients_match_finite_differences():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((2, 2, 8, 8))
     tx = np.array([0.3, -1.2])

@@ -7,7 +7,7 @@ import pytest
 
 import ddmc.kernels
 from ddmc.acquisition import make_mask
-from ddmc.diffcore import Tensor, warp_rigid
+from ddmc.diffcore import ParamSet, Tensor, warp_rigid
 from ddmc.errors import ParamError, ShapeError, ValidationError
 from ddmc.fourier import fft2c_channels, fft2c_stack, ifft2c_stack
 from ddmc.models import (ReconNet, ReconNetConfig, RegNet, RegNetConfig,
@@ -122,6 +122,23 @@ def test_loaded_params_shape_checked():
     net = SynthNet(SynthNetConfig(base_channels=4, depth=2), rng=rng_for(10))
     with pytest.raises(ParamError):
         SynthNet(SynthNetConfig(base_channels=8, depth=2), params=net.params)
+
+
+def test_loaded_params_must_match_the_layout_exactly():
+    cfg = SynthNetConfig(base_channels=4, depth=2)
+    net = SynthNet(cfg, rng=rng_for(11))
+    assert SynthNet(cfg, params=net.params).params is net.params
+    items = net.params.items()
+    extra, missing = ParamSet(), ParamSet()
+    for name, t in items:
+        extra.add(name, t)
+    extra.add("stray.w", Tensor(np.zeros(3, np.float32)))
+    for name, t in items[:-1]:
+        missing.add(name, t)
+    with pytest.raises(ParamError, match="unexpected 'stray.w'"):
+        SynthNet(cfg, params=extra)
+    with pytest.raises(ParamError, match="missing %r" % items[-1][0]):
+        SynthNet(cfg, params=missing)
 
 
 def test_recon_forward_applies_data_consistency():

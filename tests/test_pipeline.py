@@ -14,8 +14,10 @@ from ddmc.errors import (CheckpointIntegrityError, NonFiniteLossError,
 from ddmc.evalkit import psnr
 from ddmc.models import RegNet, SynthNet
 from ddmc.pipeline import (Checkpoint, RunLog, StagePlan, StageSettings,
-                           cell_name, check_stage_order, evaluate,
-                           run_ablation, train_all, train_stage)
+                           _build_net, _record_table, cell_name,
+                           check_stage_order, compute_stage_inputs, evaluate,
+                           prepare_record, run_ablation, train_all,
+                           train_stage)
 
 
 def tiny_plan(**kw):
@@ -89,6 +91,61 @@ def test_bypassed_stage_rejected(dataset, tmp_path):
         train_stage("synthesis", dataset, plan,
                     out_dir=str(tmp_path / "run"))
     assert "single" in str(exc.value)
+
+
+def one_record_table(rec, plan):
+    """The record table of a one-record split, built from prepare_record."""
+    rt = prepare_record(rec, plan)
+    return {name: v[None] for name, v in vars(rt).items()
+            if isinstance(v, np.ndarray)}
+
+
+@pytest.mark.parametrize("stage,contrast_mode", [
+    ("synthesis", "fused"), ("registration", "fused"),
+    ("reconstruction", "single"), ("reconstruction", "concat"),
+    ("reconstruction", "fused")])
+def test_stage_input_rows_follow_split_order(dataset, stage, contrast_mode):
+    # the test split's ids start past 0, so a row taken by record id
+    # instead of split position would be out of range or misplaced
+    plan = tiny_plan(contrast_mode=contrast_mode)
+    recs = dataset.split("test")
+    assert recs[0].record_id > 0
+    frozen = {name: _build_net(name, plan, rng=np.random.default_rng(k))
+              .eval_mode() for k, name in enumerate(
+                  ("synth_image", "synth_kspace", "registration"))}
+    # a nonzero last layer, so that registration moves its input
+    frozen["registration"].params["fc2.w"].data[...] = 0.01
+    stacked = compute_stage_inputs(stage, plan, frozen,
+                                   _record_table(recs, plan))
+    assert {"gt_image", "gt_kspace"} <= set(stacked)
+    for i, rec in enumerate(recs):
+        alone = compute_stage_inputs(stage, plan, frozen,
+                                     one_record_table(rec, plan))
+        assert set(alone) == set(stacked)
+        for name, rows in stacked.items():
+            assert len(rows) == len(recs)
+            np.testing.assert_allclose(rows[i], alone[name][0], rtol=0,
+                                       atol=1e-6, err_msg=name)
+    for name, rows in stacked.items():
+        assert not np.array_equal(rows[0], rows[1]), name
+
+
+@pytest.mark.parametrize("domain_mode", ["image", "kspace"])
+def test_single_domain_batches_carry_only_their_own_truth(
+        dataset, monkeypatch, domain_mode):
+    keys = []
+    forward_stage = ddmc.pipeline.forward_stage
+    monkeypatch.setattr(ddmc.pipeline, "forward_stage",
+                        lambda stage, plan, nets, batch: keys.append(
+                            set(batch)) or forward_stage(stage, plan, nets,
+                                                         batch))
+    plan = tiny_plan(contrast_mode="single", domain_mode=domain_mode)
+    train_stage("reconstruction", dataset, plan, seed=0)
+    # two training and one validation batch per epoch
+    assert len(keys) == 3 * plan.stages["reconstruction"].max_epochs
+    for batch_keys in keys:
+        assert {k for k in batch_keys if k.startswith("gt_")} == \
+            {"gt_" + domain_mode}
 
 
 def test_check_stage_order_prior_quality(dataset):
@@ -294,6 +351,17 @@ def test_evaluate_missing_checkpoint_raises(dataset):
     plan = tiny_plan()
     with pytest.raises(StageOrderError):
         evaluate({}, dataset, "test", plan)
+
+
+def test_evaluate_checks_each_checkpoint(dataset):
+    plan = tiny_plan(contrast_mode="single")
+    ck = train_stage("reconstruction", dataset, plan, seed=0)
+    for field, value in (("finalised", False), ("stage", "synthesis"),
+                         ("config", tiny_plan().to_dict())):
+        bad = copy.copy(ck)
+        setattr(bad, field, value)
+        with pytest.raises(CheckpointIntegrityError):
+            evaluate({"reconstruction": bad}, dataset, "test", plan)
 
 
 def test_cell_name_and_ablation(dataset, tmp_path, monkeypatch):
