@@ -34,7 +34,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_common(p, out_required=True):
+def _add_common(p):
     p.add_argument("--config", metavar="FILE", default=None,
                    help="config document (defaults apply when omitted)")
     p.add_argument("--set", metavar="SECTION.KEY=VALUE", action="append",
@@ -42,7 +42,7 @@ def _add_common(p, out_required=True):
                    help="override one config value (repeatable)")
     p.add_argument("--seed", type=int, default=None,
                    help="override the run seed from the config")
-    p.add_argument("--out", metavar="DIR", required=out_required,
+    p.add_argument("--out", metavar="DIR", required=True,
                    help="output directory")
     p.add_argument("--no-clobber", action="store_true",
                    help="refuse to overwrite existing outputs")
@@ -239,7 +239,9 @@ def _cmd_ablate(args):
     cfg = _config_for(args)
     plan = cfg.stage_plan()
     cells = _parse_grid(args.grid)
-    _no_clobber(args, [os.path.join(args.out, "summary.csv")])
+    _no_clobber(args, [os.path.join(args.out, name)
+                       for name in ["summary.csv", "metrics.csv"]
+                       + [cell_name(*c) for c in cells]])
     cfg.write_snapshot(args.out)
     summaries = run_ablation(cells, args.data, plan, args.out,
                              seed=cfg.seed(), eval_split=args.split)

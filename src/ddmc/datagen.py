@@ -37,15 +37,11 @@ class PhantomSpec:
     n_structures: int = 6
     blur_sigma: float = 0.7
     seed: int = 0
-    ref_intensities: tuple = REF_INTENSITIES
-    tgt_intensities: tuple = TGT_INTENSITIES
 
     def __post_init__(self):
         if self.size < 16 or self.size % 4:
             raise ValidationError("phantom size must be >= 16 and divisible "
                                   "by 4, got %d" % self.size)
-        if len(self.ref_intensities) != len(self.tgt_intensities):
-            raise ValidationError("contrast tables must have equal length")
         if self.n_structures < 0:
             raise ValidationError("n_structures must be >= 0")
 
@@ -93,7 +89,7 @@ def phantom_class_map(spec, record_id):
     tilt = rng.uniform(-0.3, 0.3)
     head = _paint_ellipse(cmap, cy, cx, ry, rx, tilt, 1)
 
-    n_classes = len(spec.ref_intensities)
+    n_classes = len(REF_INTENSITIES)
     for i in range(spec.n_structures):
         klass = 2 + i % (n_classes - 2)
         scy = cy + rng.uniform(-0.5, 0.5) * ry
@@ -118,8 +114,8 @@ def gen_phantom_pair(spec, record_id):
     ref_aligned with identity motion)."""
     cmap = phantom_class_map(spec, record_id)
     mask = cmap > 0
-    ref = _render(cmap, spec.ref_intensities, spec.blur_sigma, mask)
-    tgt = _render(cmap, spec.tgt_intensities, spec.blur_sigma, mask)
+    ref = _render(cmap, REF_INTENSITIES, spec.blur_sigma, mask)
+    tgt = _render(cmap, TGT_INTENSITIES, spec.blur_sigma, mask)
     return ContrastPairRecord(
         record_id=record_id,
         seed=spec.seed,

@@ -6,28 +6,26 @@ import numpy as np
 
 from ..errors import OptimizerError, ValidationError
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class AdamState:
-    """First/second moment buffers keyed by parameter name."""
+    """First/second moment buffers keyed by parameter name; the moment
+    decay rates are BETA1 and BETA2 and the stabiliser is EPS."""
 
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
 
     @classmethod
-    def create(cls, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def create(cls, params, lr):
         if not lr > 0:
             raise ValidationError("adam lr must be positive, got %r" % lr)
-        if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
-            raise ValidationError("adam betas must lie in [0, 1)")
-        if not eps > 0:
-            raise ValidationError("adam eps must be positive")
-        st = cls(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+        st = cls(lr=lr)
         for name, t in params.trainable_items():
             st.m[name] = np.zeros_like(t.data)
             st.v[name] = np.zeros_like(t.data)
@@ -38,8 +36,8 @@ def adam_step(params, state):
     """One in-place Adam update using the grads stored on the tensors."""
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     for name, p in params.trainable_items():
         if name not in state.m:
             raise OptimizerError("no optimizer state for parameter %r" % name)
@@ -49,8 +47,8 @@ def adam_step(params, state):
                                  "backward() before adam_step" % name)
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)

@@ -16,6 +16,9 @@ import numpy as np
 from ..errors import GraphError, ShapeError
 from .. import kernels as K
 
+BN_MOMENTUM = 0.9
+BN_EPS = 1e-5
+
 
 class Tensor:
     """Array node in the autodiff graph."""
@@ -329,13 +332,13 @@ def fully_connected(x, w, b):
     return _result(y, (x, w, b), bwd)
 
 
-def batchnorm2d(x, gamma, beta, run_mean, run_var, training,
-                momentum=0.9, eps=1e-5):
+def batchnorm2d(x, gamma, beta, run_mean, run_var, training):
     """Per-channel batch normalisation of [N, C, H, W].
 
     Training mode normalises with biased batch statistics and updates
-    the running buffers in place (run = momentum*run + (1-m)*batch);
-    eval mode normalises with the running buffers.
+    the running buffers in place (run = m*run + (1-m)*batch for
+    m = BN_MOMENTUM); eval mode normalises with the running buffers.
+    Both add BN_EPS to the variance.
     """
     c = x.shape[1]
     for t, nm in ((gamma, "gamma"), (beta, "beta"),
@@ -346,12 +349,13 @@ def batchnorm2d(x, gamma, beta, run_mean, run_var, training,
     if training:
         mu = x.data.mean(axis=(0, 2, 3))
         var = x.data.var(axis=(0, 2, 3))
-        run_mean.data[:] = momentum * run_mean.data + (1 - momentum) * mu
-        run_var.data[:] = momentum * run_var.data + (1 - momentum) * var
+        run_mean.data[:] = (BN_MOMENTUM * run_mean.data
+                            + (1 - BN_MOMENTUM) * mu)
+        run_var.data[:] = BN_MOMENTUM * run_var.data + (1 - BN_MOMENTUM) * var
     else:
         mu = run_mean.data
         var = run_var.data
-    ivstd = 1.0 / np.sqrt(var + eps)
+    ivstd = 1.0 / np.sqrt(var + BN_EPS)
     xhat = x.data - mu[None, :, None, None]
     xhat *= ivstd[None, :, None, None]
     y = gamma.data[None, :, None, None] * xhat

@@ -19,6 +19,12 @@ from .errors import ShapeError, ValidationError
 from .fourier import ComplexImage
 
 PSNR_CAP = 100.0
+PEAK = 1.0
+# SSIM constants of Wang et al. (2004), for a dynamic range of 1
+SSIM_WINDOW = 11
+SSIM_SIGMA = 1.5
+SSIM_K1 = 0.01
+SSIM_K2 = 0.03
 
 
 @dataclass(frozen=True)
@@ -47,8 +53,8 @@ def _check_mask(mask, shape):
     return mask
 
 
-def psnr(a, b, mask, peak=1.0):
-    """Peak SNR in dB over magnitudes at masked pixels, capped at 100."""
+def psnr(a, b, mask):
+    """Peak SNR in dB over masked magnitudes for peak PEAK, capped at 100."""
     am = _magnitude_of(a)
     bm = _magnitude_of(b)
     if am.shape != bm.shape:
@@ -59,13 +65,13 @@ def psnr(a, b, mask, peak=1.0):
     mse = float(np.mean(err * err))
     if mse == 0.0:
         return PSNR_CAP
-    return min(PSNR_CAP, 10.0 * np.log10(peak * peak / mse))
+    return min(PSNR_CAP, 10.0 * np.log10(PEAK * PEAK / mse))
 
 
-def _gaussian_kernel(window, sigma):
-    half = (window - 1) / 2.0
-    x = np.arange(window, dtype=np.float64) - half
-    g = np.exp(-0.5 * (x / sigma) ** 2)
+def _gaussian_kernel():
+    half = (SSIM_WINDOW - 1) / 2.0
+    x = np.arange(SSIM_WINDOW, dtype=np.float64) - half
+    g = np.exp(-0.5 * (x / SSIM_SIGMA) ** 2)
     k = np.outer(g, g)
     return k / k.sum()
 
@@ -75,14 +81,14 @@ def _local_mean(x, kernel):
     return np.tensordot(win, kernel, axes=((2, 3), (0, 1)))
 
 
-def ssim(a, b, mask, window=11, sigma=1.5, k1=0.01, k2=0.03,
-         dynamic_range=1.0):
+def ssim(a, b, mask):
     """Mean local SSIM over masked pixels.
 
-    Local statistics use an 11x11 Gaussian window (sigma 1.5) at fully
-    interior positions; the map is averaged where the window centre is
-    masked.  Images are zeroed outside the mask first so the metric
-    cannot see unmasked pixels.
+    Local statistics use an SSIM_WINDOW x SSIM_WINDOW Gaussian window
+    (sigma SSIM_SIGMA) at fully interior positions, with stabilisers
+    from SSIM_K1 and SSIM_K2 at a dynamic range of 1; the map is
+    averaged where the window centre is masked.  Images are zeroed
+    outside the mask first so the metric cannot see unmasked pixels.
     """
     am = _magnitude_of(a)
     bm = _magnitude_of(b)
@@ -91,27 +97,27 @@ def ssim(a, b, mask, window=11, sigma=1.5, k1=0.01, k2=0.03,
                          % (am.shape, bm.shape))
     m = _check_mask(mask, am.shape)
     h, w = am.shape
-    if h < window or w < window:
+    if h < SSIM_WINDOW or w < SSIM_WINDOW:
         raise ValidationError("image %dx%d smaller than %dx%d ssim window"
-                              % (h, w, window, window))
+                              % (h, w, SSIM_WINDOW, SSIM_WINDOW))
     am = np.where(m, am, 0.0)
     bm = np.where(m, bm, 0.0)
-    kern = _gaussian_kernel(window, sigma)
+    kern = _gaussian_kernel()
     mu1 = _local_mean(am, kern)
     mu2 = _local_mean(bm, kern)
     s11 = _local_mean(am * am, kern) - mu1 * mu1
     s22 = _local_mean(bm * bm, kern) - mu2 * mu2
     s12 = _local_mean(am * bm, kern) - mu1 * mu2
-    c1 = (k1 * dynamic_range) ** 2
-    c2 = (k2 * dynamic_range) ** 2
+    c1 = SSIM_K1 ** 2
+    c2 = SSIM_K2 ** 2
     num = (2 * mu1 * mu2 + c1) * (2 * s12 + c2)
     den = (mu1 * mu1 + mu2 * mu2 + c1) * (s11 + s22 + c2)
     smap = num / den
-    half = window // 2
+    half = SSIM_WINDOW // 2
     centres = m[half:h - half, half:w - half]
     if not centres.any():
         raise ValidationError("mask has no pixels with a fully interior "
-                              "%dx%d window" % (window, window))
+                              "%dx%d window" % (SSIM_WINDOW, SSIM_WINDOW))
     return float(smap[centres].mean())
 
 

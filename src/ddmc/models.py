@@ -28,11 +28,12 @@ from .errors import ParamError, ShapeError, ValidationError
 from .geometry import compose
 from .kernels import warp_forward
 
+# re/im channels of one image: SynthNet's input and each U-Net's output
+IMAGE_CHANNELS = 2
+
 
 @dataclass(frozen=True)
 class SynthNetConfig:
-    in_channels: int = 2
-    out_channels: int = 2
     base_channels: int = 16
     depth: int = 3
 
@@ -47,7 +48,6 @@ class RegNetConfig:
 @dataclass(frozen=True)
 class ReconNetConfig:
     in_channels: int = 4
-    out_channels: int = 2
     base_channels: int = 16
     depth: int = 3
 
@@ -117,28 +117,27 @@ class _Network:
 
 class _UNet:
     """Encoder-decoder with skip concats; depth resolution levels,
-    one conv block per encoder level, two per decoder level."""
+    one conv block per encoder level, two per decoder level, and an
+    output conv to IMAGE_CHANNELS."""
 
-    def __init__(self, net, prefix, cin, cout, base, depth, rng):
+    def __init__(self, net, cin, base, depth, rng):
         if depth < 2:
             raise ValidationError("unet depth must be >= 2, got %d" % depth)
         self.net = net
-        self.prefix = prefix
         self.depth = depth
         chans = [base * 2 ** l for l in range(depth)]
         self.enc = []
         for l in range(depth):
             ci = cin if l == 0 else chans[l - 1]
-            self.enc.append(_ConvBNRelu(net, "%senc%d" % (prefix, l),
-                                        ci, chans[l], rng))
+            self.enc.append(_ConvBNRelu(net, "enc%d" % l, ci, chans[l], rng))
         self.up = []
         self.dec = []
         for l in range(depth - 2, -1, -1):
-            self.up.append(_ConvBNRelu(net, "%sup%d" % (prefix, l),
+            self.up.append(_ConvBNRelu(net, "up%d" % l,
                                        chans[l + 1], chans[l], rng))
-            self.dec.append(_ConvBNRelu(net, "%sdec%d" % (prefix, l),
+            self.dec.append(_ConvBNRelu(net, "dec%d" % l,
                                         2 * chans[l], chans[l], rng))
-        conv_param(net.params, prefix + "out", cout, base, 3, rng)
+        conv_param(net.params, "out", IMAGE_CHANNELS, base, 3, rng)
 
     def __call__(self, x):
         div = 2 ** (self.depth - 1)
@@ -158,7 +157,7 @@ class _UNet:
             h = concat_channels([h, skips[l]])
             h = self.dec[i](h)
         ps = self.net.params
-        return conv2d(h, ps[self.prefix + "out.w"], ps[self.prefix + "out.b"])
+        return conv2d(h, ps["out.w"], ps["out.b"])
 
 
 class SynthNet(_Network):
@@ -166,13 +165,12 @@ class SynthNet(_Network):
 
     def _build(self, rng):
         c = self.config
-        self.unet = _UNet(self, "", c.in_channels, c.out_channels,
-                          c.base_channels, c.depth, rng)
+        self.unet = _UNet(self, IMAGE_CHANNELS, c.base_channels, c.depth, rng)
 
     def __call__(self, x):
-        if x.shape[1] != self.config.in_channels:
+        if x.shape[1] != IMAGE_CHANNELS:
             raise ShapeError("synthesis net expects %d channels, got %d"
-                             % (self.config.in_channels, x.shape[1]))
+                             % (IMAGE_CHANNELS, x.shape[1]))
         return self.unet(x)
 
 
@@ -181,8 +179,7 @@ class ReconNet(_Network):
 
     def _build(self, rng):
         c = self.config
-        self.unet = _UNet(self, "", c.in_channels, c.out_channels,
-                          c.base_channels, c.depth, rng)
+        self.unet = _UNet(self, c.in_channels, c.base_channels, c.depth, rng)
 
     def __call__(self, x):
         if x.shape[1] != self.config.in_channels:

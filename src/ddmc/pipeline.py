@@ -38,7 +38,7 @@ import csv
 import json
 import os
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
@@ -113,9 +113,6 @@ class StagePlan:
                                           ", ".join(DOMAIN_MODES)))
         if self.image_loss not in IMAGE_LOSS_KINDS:
             raise ValidationError("unknown image loss %r" % self.image_loss)
-        if self.accel < 1:
-            raise ValidationError("acceleration must be >= 1, got %r"
-                                  % self.accel)
         if self.reg_refine_iters < 1:
             raise ValidationError("reg_refine_iters must be >= 1, got %r"
                                   % self.reg_refine_iters)
@@ -125,6 +122,9 @@ class StagePlan:
                                   "%r" % self.image_size)
         for s in STAGES:
             self.stages[s].validate(s)
+        # the acquisition's own checks: acceleration and the row budget
+        make_mask(self.image_size, self.accel, n_center=self.n_center,
+                  sigma_frac=self.sigma_frac, seed=self.mask_seed)
 
     def required_stages(self):
         """Stages this contrast mode actually trains, in order."""
@@ -141,33 +141,11 @@ class StagePlan:
         return 2 if self.contrast_mode == "single" else 4
 
     def to_dict(self):
-        d = {
-            "contrast_mode": self.contrast_mode,
-            "domain_mode": self.domain_mode,
-            "image_loss": self.image_loss,
-            "alpha": self.weights.alpha,
-            "beta": self.weights.beta,
-            "accel": self.accel,
-            "mask_seed": self.mask_seed,
-            "n_center": self.n_center,
-            "sigma_frac": self.sigma_frac,
-            "image_size": self.image_size,
-            "base_channels": self.base_channels,
-            "depth": self.depth,
-            "reg_channels": list(self.reg_channels),
-            "reg_fc_hidden": self.reg_fc_hidden,
-            "reg_refine_iters": self.reg_refine_iters,
-            "stages": {s: asdict(self.stages[s]) for s in STAGES},
-        }
+        """The plan as checkpoint headers hold it, weights flattened."""
+        d = asdict(self)
+        d.update(d.pop("weights"))
+        d["reg_channels"] = list(self.reg_channels)
         return d
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        weights = LossWeights(alpha=d.pop("alpha"), beta=d.pop("beta"))
-        stages = {s: StageSettings(**v) for s, v in d.pop("stages").items()}
-        d["reg_channels"] = tuple(d["reg_channels"])
-        return cls(weights=weights, stages=stages, **d)
 
 
 @dataclass
@@ -861,14 +839,8 @@ def cell_name(contrast_mode, domain_mode, accel):
 
 
 def _run_cell(args):
-    (contrast_mode, domain_mode, accel, dataset_root, out_dir, plan_dict,
-     seed, eval_split) = args
-    plan = StagePlan.from_dict(plan_dict)
-    plan.contrast_mode = contrast_mode
-    plan.domain_mode = domain_mode
-    plan.accel = accel
-    plan.validate()
-    cid = cell_name(contrast_mode, domain_mode, accel)
+    plan, dataset_root, out_dir, seed, eval_split = args
+    cid = cell_name(plan.contrast_mode, plan.domain_mode, plan.accel)
     cell_dir = os.path.join(out_dir, cid)
     os.makedirs(cell_dir, exist_ok=True)
     dataset = Dataset.load(dataset_root)
@@ -882,7 +854,7 @@ def _run_cell(args):
               agg_rows)
     write_csv(os.path.join(cell_dir, "records.csv"), RECORD_METRIC_COLUMNS,
               result.per_record)
-    return cid, agg_rows, result.summary_row(plan, cid)
+    return agg_rows, result.summary_row(plan, cid)
 
 
 def run_ablation(cells, dataset_root, base_plan, out_dir, seed=0,
@@ -890,36 +862,36 @@ def run_ablation(cells, dataset_root, base_plan, out_dir, seed=0,
     """Train and score one pipeline per (contrast, domain, accel) cell.
 
     cells : list of (contrast_mode, domain_mode, accel)
-    The DDMC_THREADS environment variable caps the worker processes;
-    the default is one worker per cell.  Each cell is self-contained
-    and seeded, so results do not depend on the worker count.
+    Every cell's plan, base_plan with the cell's modes and accel, is
+    validated before out_dir or any worker is created.  DDMC_THREADS
+    caps the worker processes; the default is one worker per cell.
+    Each cell is self-contained and seeded, so results do not depend
+    on the worker count.
     """
     cells = [tuple(c) for c in cells]
     if len(set(cells)) != len(cells):
         raise ValidationError("ablation grid contains duplicate cells")
     if not cells:
         raise ValidationError("ablation grid is empty")
-    os.makedirs(out_dir, exist_ok=True)
-    plan_dict = base_plan.to_dict()
-    jobs = [(cm, dm, ac, dataset_root, out_dir, plan_dict, seed, eval_split)
-            for cm, dm, ac in cells]
+    plans = [replace(base_plan, contrast_mode=cm, domain_mode=dm, accel=ac)
+             for cm, dm, ac in cells]
+    for plan in plans:
+        plan.validate()
     env = os.environ.get("DDMC_THREADS", "")
     workers = int(env) if env else len(cells)
     if workers < 1:
         raise ValidationError("DDMC_THREADS must be >= 1, got %r" % env)
     workers = min(workers, len(cells))
+    os.makedirs(out_dir, exist_ok=True)
+    jobs = [(plan, dataset_root, out_dir, seed, eval_split) for plan in plans]
     if workers == 1:
         done = [_run_cell(j) for j in jobs]
     else:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_run_cell, jobs))
-    by_cell = {cid: (rows, summary) for cid, rows, summary in done}
-    all_rows, summaries = [], []
-    for cm, dm, ac in cells:
-        rows, summary = by_cell[cell_name(cm, dm, ac)]
-        all_rows.extend(rows)
-        summaries.append(summary)
+    all_rows = [row for rows, _ in done for row in rows]
+    summaries = [summary for _, summary in done]
     write_csv(os.path.join(out_dir, "metrics.csv"), AGGREGATE_COLUMNS,
               all_rows)
     write_csv(os.path.join(out_dir, "summary.csv"), SUMMARY_COLUMNS,

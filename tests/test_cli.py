@@ -129,6 +129,44 @@ def test_out_of_order_train_names_missing_stage(tmp_path, capsys):
     assert "synthesis" in err
 
 
+def test_infeasible_acceleration_fails_before_any_output(tmp_path, capsys):
+    # floor(32/16) = 2 rows cannot cover the 6-row centre block, so both
+    # commands stop at validation and write no run
+    data = tmp_path / "data"
+    assert run(["gen-data", "--out", data] + FAST) == 0
+    capsys.readouterr()
+    assert run(["train", "--data", data, "--out", tmp_path / "run",
+                "--set", "mask.accel=16"] + FAST) == 2
+    assert "centre block" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+    ab_dir = tmp_path / "ablate"
+    assert run(["ablate", "--data", data, "--out", ab_dir,
+                "--grid", "dual,single,4x;dual,single,16x"] + FAST) == 2
+    assert "centre block" in capsys.readouterr().err
+    for cell in ("single-dual-4x", "single-dual-16x"):
+        assert not (ab_dir / cell).exists()
+
+
+def test_ablate_no_clobber_refuses_metrics_and_cell_dirs(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert run(["gen-data", "--out", data] + FAST) == 0
+    ab_dir = tmp_path / "ablate"
+    ab_dir.mkdir()
+    argv = ["ablate", "--data", data, "--out", ab_dir, "--no-clobber",
+            "--grid", "dual,single,4x"] + FAST
+    (ab_dir / "metrics.csv").write_text("")
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert "refus" in capsys.readouterr().err
+    (ab_dir / "metrics.csv").unlink()
+    (ab_dir / "single-dual-4x").mkdir()
+    assert run(argv) == 2
+    assert "refus" in capsys.readouterr().err
+    assert os.listdir(ab_dir) == ["single-dual-4x"]
+    assert os.listdir(ab_dir / "single-dual-4x") == []
+
+
 def test_train_eval_render_ablate_end_to_end(tmp_path, capsys):
     data = tmp_path / "data"
     run_dir = tmp_path / "run"

@@ -5,6 +5,7 @@ import pytest
 from ddmc.config import (SCHEMA, SNAPSHOT_NAME, default_config, default_text,
                          load_config)
 from ddmc.errors import ValidationError
+from ddmc.pipeline import StagePlan
 
 
 def test_defaults_cover_schema():
@@ -82,6 +83,12 @@ def test_stage_plan_resolution():
     assert plan.stages["registration"].max_epochs == 12
     assert plan.contrast_mode == "single"
     assert plan.required_stages() == ("reconstruction",)
+
+
+def test_config_defaults_are_the_plan_defaults():
+    # the schema and the StagePlan dataclasses each spell out the
+    # defaults; they must describe one plan
+    assert default_config().stage_plan().to_dict() == StagePlan().to_dict()
 
 
 def test_dataset_args_auto_mm_per_px():

@@ -9,8 +9,9 @@ import pytest
 
 from ddmc.datagen import Dataset, build_dataset
 import ddmc.pipeline
-from ddmc.errors import (CheckpointIntegrityError, NonFiniteLossError,
-                         StageOrderError, TruncatedFileError, ValidationError)
+from ddmc.errors import (CheckpointIntegrityError, MaskBudgetError,
+                         NonFiniteLossError, StageOrderError,
+                         TruncatedFileError, ValidationError)
 from ddmc.evalkit import psnr
 from ddmc.models import RegNet, SynthNet
 from ddmc.pipeline import (Checkpoint, RunLog, StagePlan, StageSettings,
@@ -55,6 +56,9 @@ def test_plan_validation():
         tiny_plan(domain_mode="spectral")
     with pytest.raises(ValidationError):
         tiny_plan(accel=0)
+    # floor(32/16) = 2 rows cannot cover the 6-row centre block
+    with pytest.raises(MaskBudgetError):
+        tiny_plan(accel=16)
     with pytest.raises(ValidationError):
         tiny_plan(reg_refine_iters=0)
 
@@ -68,10 +72,17 @@ def test_required_stages_by_contrast_mode():
         "reconstruction",)
 
 
-def test_plan_roundtrip():
+def test_plan_to_dict_is_the_checkpoint_header_form():
     plan = tiny_plan(domain_mode="image", image_loss="magnitude")
-    back = StagePlan.from_dict(plan.to_dict())
-    assert back.to_dict() == plan.to_dict()
+    settings = {"max_epochs": 2, "patience": 2, "batch_size": 2, "lr": 1e-3}
+    assert plan.to_dict() == {
+        "contrast_mode": "fused", "domain_mode": "image",
+        "image_loss": "magnitude", "alpha": 1e-2, "beta": 0.7, "accel": 4,
+        "mask_seed": 1009, "n_center": 6, "sigma_frac": 0.25,
+        "image_size": 32, "base_channels": 4, "depth": 2,
+        "reg_channels": [4, 4], "reg_fc_hidden": 8, "reg_refine_iters": 3,
+        "stages": {"synthesis": settings, "registration": settings,
+                   "reconstruction": settings}}
 
 
 def test_out_of_order_raises_and_writes_nothing(dataset, tmp_path):
@@ -386,6 +397,11 @@ def test_cell_name_and_ablation(dataset, tmp_path, monkeypatch):
     with pytest.raises(ValidationError):
         run_ablation([("single", "dual", 4), ("single", "dual", 4)],
                      ds_root, plan, str(tmp_path / "ab3"))
+    # an infeasible cell fails before any cell trains or out_dir exists
+    with pytest.raises(MaskBudgetError):
+        run_ablation([("single", "dual", 4), ("single", "dual", 16)],
+                     ds_root, plan, str(tmp_path / "ab4"))
+    assert not os.path.exists(str(tmp_path / "ab4"))
 
     # one worker process gives the same bytes as one worker per cell
     monkeypatch.setenv("DDMC_THREADS", "1")
