@@ -19,10 +19,9 @@ from .config import default_text, load_config
 from .datagen import Dataset, build_dataset
 from .errors import DdmcError, RecordFormatError, ValidationError
 from .evalkit import render_report
-from .pipeline import (AGGREGATE_COLUMNS, CONTRAST_MODES, Checkpoint,
-                       DOMAIN_MODES, RECORD_METRIC_COLUMNS, RunLog,
-                       STAGES, cell_name, evaluate, run_ablation,
-                       train_all, train_stage, write_csv)
+from .pipeline import (AGGREGATE_COLUMNS, Checkpoint, RECORD_METRIC_COLUMNS,
+                       RunLog, STAGES, cell_name, cell_plans, evaluate,
+                       run_ablation, train_all, train_stage, write_csv)
 
 
 class _UsageError(Exception):
@@ -63,8 +62,11 @@ def _build_parser():
     _add_common(p)
 
     p = sub.add_parser("make-masks", help="write sampling mask files",
-                       description="Write one row-mask text file per "
-                                   "acceleration for inspection.")
+                       description="Write one row-mask file per "
+                                   "acceleration: the draw for seed "
+                                   "mask.mask_seed.  Each training record "
+                                   "draws its own mask, seeded from "
+                                   "mask.mask_seed and its record id.")
     _add_common(p)
     p.add_argument("--height", type=int, default=None,
                    help="mask height (defaults to data.size)")
@@ -149,17 +151,16 @@ def _cmd_gen_data(args):
 
 def _cmd_make_masks(args):
     cfg = _config_for(args)
-    height = args.height or cfg["data.size"]
+    height = cfg["data.size"] if args.height is None else args.height
     accels = args.accel or [cfg["mask.accel"]]
     paths = [os.path.join(args.out, "mask_h%d_r%d.txt" % (height, r))
              for r in accels]
+    masks = [make_mask(height, r, n_center=cfg["mask.n_center"],
+                       sigma_frac=cfg["mask.sigma_frac"],
+                       seed=cfg["mask.mask_seed"]) for r in accels]
     _no_clobber(args, paths)
-    os.makedirs(args.out, exist_ok=True)
     cfg.write_snapshot(args.out)
-    for r, path in zip(accels, paths):
-        mask = make_mask(height, r, n_center=cfg["mask.n_center"],
-                         sigma_frac=cfg["mask.sigma_frac"],
-                         seed=cfg["mask.mask_seed"])
+    for mask, path in zip(masks, paths):
         mask.save(path)
         print("wrote %s (%d rows)" % (path, int(mask.sampled.sum())))
 
@@ -177,7 +178,9 @@ def _cmd_train(args):
         checkpoints = train_all(dataset, plan, seed=seed, out_dir=args.out,
                                 run_log=run_log)
     else:
-        prior = _load_checkpoints(args.out, STAGES)
+        prior = _load_checkpoints(args.out, [
+            s for s in plan.required_stages()
+            if STAGES.index(s) < STAGES.index(args.stage)])
         ck = train_stage(args.stage, dataset, plan, prior, seed=seed,
                          out_dir=args.out, run_log=run_log)
         checkpoints = {args.stage: ck}
@@ -197,11 +200,10 @@ def _cmd_eval(args):
     result = evaluate(checkpoints, dataset, args.split, plan)
     os.makedirs(args.out, exist_ok=True)
     cfg.write_snapshot(args.out)
-    cid = cell_name(plan.contrast_mode, plan.domain_mode, plan.accel)
-    write_csv(out_paths[0], AGGREGATE_COLUMNS,
-              result.aggregate_rows(plan, cid))
+    rows = result.aggregate_rows(plan)
+    write_csv(out_paths[0], AGGREGATE_COLUMNS, rows)
     write_csv(out_paths[1], RECORD_METRIC_COLUMNS, result.per_record)
-    for row in result.aggregate_rows(plan, cid):
+    for row in rows:
         print("%s/%s: psnr %.2f ssim %.4f (n=%d)"
               % (row["stage"], row["branch"], row["psnr_mean"],
                  row["ssim_mean"], row["n"]))
@@ -216,35 +218,25 @@ def _parse_grid(specs):
                 raise ValidationError("grid cell %r is not DOMAIN,CONTRAST,RX"
                                       % part)
             domain, contrast, rx = fields
-            if domain not in DOMAIN_MODES:
-                raise ValidationError("grid domain %r not one of %s"
-                                      % (domain, ", ".join(DOMAIN_MODES)))
-            if contrast not in CONTRAST_MODES:
-                raise ValidationError("grid contrast %r not one of %s"
-                                      % (contrast, ", ".join(CONTRAST_MODES)))
             if not rx.endswith("x"):
                 raise ValidationError("acceleration %r must end in 'x'" % rx)
             try:
                 accel = int(rx[:-1])
             except ValueError:
                 raise ValidationError("bad acceleration %r" % rx)
-            if accel < 1:
-                raise ValidationError("acceleration must be >= 1, got %d"
-                                      % accel)
             cells.append((contrast, domain, accel))
     return cells
 
 
 def _cmd_ablate(args):
     cfg = _config_for(args)
-    plan = cfg.stage_plan()
-    cells = _parse_grid(args.grid)
+    plans = cell_plans(cfg.stage_plan(), _parse_grid(args.grid))
     _no_clobber(args, [os.path.join(args.out, name)
                        for name in ["summary.csv", "metrics.csv"]
-                       + [cell_name(*c) for c in cells]])
+                       + [cell_name(p) for p in plans]])
     cfg.write_snapshot(args.out)
-    summaries = run_ablation(cells, args.data, plan, args.out,
-                             seed=cfg.seed(), eval_split=args.split)
+    summaries = run_ablation(plans, args.data, args.out, cfg.seed(),
+                             args.split)
     for row in summaries:
         scores = ["%s psnr %.2f" % (b, row["psnr_" + b])
                   for b in ("image", "kspace") if row["psnr_" + b] is not None]

@@ -13,7 +13,7 @@ import os
 
 from .errors import ValidationError
 from .objectives import DOMAIN_MODES, IMAGE_LOSS_KINDS, LossWeights
-from .pipeline import CONTRAST_MODES, STAGES, StagePlan, StageSettings
+from .pipeline import CONTRAST_MODES, STAGES, StagePlan
 
 SNAPSHOT_NAME = "config_resolved.cfg"
 
@@ -97,31 +97,19 @@ class RunConfig:
         return self.values[section][name]
 
     def stage_plan(self):
+        """The run's StagePlan.  The [mask], [model] and [train] keys
+        are plan fields of the same name, apart from the epoch keys,
+        which become the per-stage max_epochs."""
         v = self.values
-        stages = {}
-        for s in STAGES:
-            epochs = v["train"][s + "_max_epochs"] or v["train"]["max_epochs"]
-            stages[s] = StageSettings(max_epochs=epochs,
-                                      patience=v["train"]["patience"],
-                                      batch_size=v["train"]["batch_size"],
-                                      lr=v["train"]["lr"])
-        plan = StagePlan(
-            contrast_mode=v["train"]["contrast_mode"],
-            domain_mode=v["train"]["domain_mode"],
-            image_loss=v["loss"]["image_loss"],
-            weights=LossWeights(alpha=v["loss"]["alpha"],
-                                beta=v["loss"]["beta"]),
-            accel=v["mask"]["accel"],
-            mask_seed=v["mask"]["mask_seed"],
-            n_center=v["mask"]["n_center"],
-            sigma_frac=v["mask"]["sigma_frac"],
-            image_size=v["data"]["size"],
-            base_channels=v["model"]["base_channels"],
-            depth=v["model"]["depth"],
-            reg_channels=v["model"]["reg_channels"],
-            reg_fc_hidden=v["model"]["reg_fc_hidden"],
-            reg_refine_iters=v["model"]["reg_refine_iters"],
-            stages=stages)
+        train = dict(v["train"])
+        epochs = train.pop("max_epochs")
+        max_epochs = {s: train.pop(s + "_max_epochs") or epochs
+                      for s in STAGES}
+        plan = StagePlan(**v["mask"], **v["model"], **train,
+                         image_loss=v["loss"]["image_loss"],
+                         weights=LossWeights(alpha=v["loss"]["alpha"],
+                                             beta=v["loss"]["beta"]),
+                         image_size=v["data"]["size"], max_epochs=max_epochs)
         plan.validate()
         return plan
 

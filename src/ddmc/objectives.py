@@ -34,10 +34,11 @@ STAGES = ("synthesis", "registration", "reconstruction")
 
 @dataclass(frozen=True)
 class LossWeights:
-    """alpha scales k-space terms, beta scales the cross-domain pair."""
+    """alpha scales k-space terms, beta scales the cross-domain pair;
+    their defaults are loss.alpha and loss.beta in config.SCHEMA."""
 
-    alpha: float = 1e-2
-    beta: float = 0.7
+    alpha: float
+    beta: float
 
     def __post_init__(self):
         if not self.alpha > 0:

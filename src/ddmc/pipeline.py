@@ -5,11 +5,11 @@ reconstruction) with freeze-and-advance semantics: a stage trains only
 its own networks while all earlier stages' parameters are loaded from
 finalised checkpoints, switched to inference mode, and never updated.
 
-Each split is prepared once into a record table: every per-record
-array stacked in split order into an [N, ...] array.  The inputs that
-flow out of frozen networks are computed once per stage over a whole
-table, which keeps epochs cheap, and every training, validation and
-evaluation batch is taken from those stacks by row index.
+Each stage and each evaluation prepares the splits it reads into
+record tables: each per-record array stacked in split order into one
+[N, ...] array.  The inputs that flow out of frozen networks are then
+computed once per stage over a whole table, which keeps epochs cheap,
+and every batch is taken from those stacks by row index.
 
 Contrast modes change the reconstruction input and which stages exist:
 
@@ -56,51 +56,33 @@ from .objectives import (DOMAIN_MODES, IMAGE_LOSS_KINDS, STAGES,
                          LossWeights, stage_loss)
 
 CONTRAST_MODES = ("single", "concat", "fused")
-CHECKPOINT_VERSION = 1
-
-
-@dataclass
-class StageSettings:
-    """Per-stage optimisation knobs."""
-
-    max_epochs: int = 30
-    patience: int = 10
-    batch_size: int = 8
-    lr: float = 2e-4
-
-    def validate(self, stage):
-        if self.max_epochs < 1 or self.patience < 0:
-            raise ValidationError("stage %r: need max_epochs >= 1 and "
-                                  "patience >= 0" % stage)
-        if self.batch_size < 1:
-            raise ValidationError("stage %r: batch_size must be >= 1" % stage)
-        if not self.lr > 0:
-            raise ValidationError("stage %r: lr must be positive" % stage)
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
 class StagePlan:
-    """Everything that defines one training run besides the dataset."""
+    """Everything that defines one training run besides the dataset.
+    All stages share batch_size, lr and patience; max_epochs maps each
+    stage to its epochs.  The defaults live only in config.SCHEMA."""
 
-    contrast_mode: str = "fused"
-    domain_mode: str = "dual"
-    image_loss: str = "complex"
-    weights: LossWeights = field(default_factory=LossWeights)
-    accel: int = 4
-    mask_seed: int = 1009
-    n_center: int = 6
-    sigma_frac: float = 0.25
-    image_size: int = 64
-    base_channels: int = 16
-    depth: int = 3
-    reg_channels: tuple = (16, 32, 32)
-    reg_fc_hidden: int = 64
-    reg_refine_iters: int = 3
-    stages: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for s in STAGES:
-            self.stages.setdefault(s, StageSettings())
+    contrast_mode: str
+    domain_mode: str
+    image_loss: str
+    weights: LossWeights
+    accel: int
+    mask_seed: int
+    n_center: int
+    sigma_frac: float
+    image_size: int
+    base_channels: int
+    depth: int
+    reg_channels: tuple
+    reg_fc_hidden: int
+    reg_refine_iters: int
+    batch_size: int
+    lr: float
+    patience: int
+    max_epochs: dict
 
     def validate(self):
         if self.contrast_mode not in CONTRAST_MODES:
@@ -120,8 +102,13 @@ class StagePlan:
             raise ValidationError("image_size must be a multiple of 16 so "
                                   "the registration pools land evenly, got "
                                   "%r" % self.image_size)
-        for s in STAGES:
-            self.stages[s].validate(s)
+        if (self.batch_size < 1 or not self.lr > 0 or self.patience < 0
+                or any(self.max_epochs.get(s, 0) < 1 for s in STAGES)):
+            raise ValidationError(
+                "need batch_size >= 1, lr > 0, patience >= 0 and max_epochs "
+                ">= 1 for each of %s, got %r, %r, %r, %r"
+                % (", ".join(STAGES), self.batch_size, self.lr,
+                   self.patience, self.max_epochs))
         # the acquisition's own checks: acceleration and the row budget
         make_mask(self.image_size, self.accel, n_center=self.n_center,
                   sigma_frac=self.sigma_frac, seed=self.mask_seed)
@@ -613,7 +600,6 @@ def train_stage(stage, dataset, plan, checkpoints=None, seed=0,
     """
     plan.validate()
     prior = check_stage_order(stage, plan, checkpoints)
-    settings = plan.stages[stage]
     stage_idx = STAGES.index(stage)
 
     train_recs = dataset.split("train")
@@ -633,7 +619,7 @@ def train_stage(stage, dataset, plan, checkpoints=None, seed=0,
         rng = np.random.default_rng(
             np.random.SeedSequence([seed, stage_idx, k]))
         nets[name] = _build_net(name, plan, rng=rng).train_mode()
-    opt = [(nets[n].params, AdamState.create(nets[n].params, settings.lr))
+    opt = [(nets[n].params, AdamState.create(nets[n].params, plan.lr))
            for n in nets]
 
     param_sets = {n: nets[n].params for n in nets}
@@ -642,11 +628,11 @@ def train_stage(stage, dataset, plan, checkpoints=None, seed=0,
     epochs_since_best = 0
     history = []
     step = 0
-    for epoch in range(settings.max_epochs):
+    for epoch in range(plan.max_epochs[stage]):
         rng = np.random.default_rng(
             np.random.SeedSequence([seed, stage_idx, epoch, 7]))
         for rows in _batched(rng.permutation(len(train_recs)),
-                             settings.batch_size):
+                             plan.batch_size):
             for ps, _ in opt:
                 ps.zero_grads()
             rep = _batch_loss(stage, plan, nets, _take(train_in, rows))
@@ -658,7 +644,7 @@ def train_stage(stage, dataset, plan, checkpoints=None, seed=0,
                 run_log.log_step(step, rep)
             step += 1
         val_loss = _validation_loss(stage, plan, nets, val_in,
-                                    len(val_recs), settings.batch_size)
+                                    len(val_recs), plan.batch_size)
         _check_finite(val_loss, "validation", stage, epoch, step - 1)
         history.append(val_loss)
         if run_log is not None:
@@ -669,7 +655,7 @@ def train_stage(stage, dataset, plan, checkpoints=None, seed=0,
             epochs_since_best = 0
         else:
             epochs_since_best += 1
-            if epochs_since_best >= settings.patience:
+            if epochs_since_best >= plan.patience:
                 break
     _restore(param_sets, best_snap)
 
@@ -705,12 +691,12 @@ class EvalResult:
     aggregates: dict
     outputs: list = None
 
-    def aggregate_rows(self, plan, cell_id=""):
+    def aggregate_rows(self, plan):
         rows = []
         for (stage, branch), agg in sorted(self.aggregates.items(),
                                            key=lambda kv: (STAGES.index(
                                                kv[0][0]), kv[0][1])):
-            rows.append({"cell": cell_id,
+            rows.append({"cell": cell_name(plan),
                          "domain_mode": plan.domain_mode,
                          "contrast_mode": plan.contrast_mode,
                          "accel": plan.accel,
@@ -722,8 +708,8 @@ class EvalResult:
                          "n": agg["n"]})
         return rows
 
-    def summary_row(self, plan, cell_id=""):
-        row = {"cell": cell_id, "domain_mode": plan.domain_mode,
+    def summary_row(self, plan):
+        row = {"cell": cell_name(plan), "domain_mode": plan.domain_mode,
                "contrast_mode": plan.contrast_mode, "accel": plan.accel,
                "psnr_image": None, "ssim_image": None,
                "psnr_kspace": None, "ssim_kspace": None}
@@ -834,14 +820,27 @@ def write_csv(path, columns, rows):
             w.writerow([_fmt_cell(row[c]) for c in columns])
 
 
-def cell_name(contrast_mode, domain_mode, accel):
-    return "%s-%s-%dx" % (contrast_mode, domain_mode, accel)
+def cell_name(plan):
+    return "%s-%s-%dx" % (plan.contrast_mode, plan.domain_mode, plan.accel)
+
+
+def cell_plans(base_plan, cells):
+    """One validated plan per (contrast_mode, domain_mode, accel) cell:
+    base_plan with the cell's modes and acceleration."""
+    if not cells:
+        raise ValidationError("ablation grid is empty")
+    if len(set(cells)) != len(cells):
+        raise ValidationError("ablation grid contains duplicate cells")
+    plans = [replace(base_plan, contrast_mode=cm, domain_mode=dm, accel=ac)
+             for cm, dm, ac in cells]
+    for plan in plans:
+        plan.validate()
+    return plans
 
 
 def _run_cell(args):
     plan, dataset_root, out_dir, seed, eval_split = args
-    cid = cell_name(plan.contrast_mode, plan.domain_mode, plan.accel)
-    cell_dir = os.path.join(out_dir, cid)
+    cell_dir = os.path.join(out_dir, cell_name(plan))
     os.makedirs(cell_dir, exist_ok=True)
     dataset = Dataset.load(dataset_root)
     run_log = RunLog(cell_dir)
@@ -849,39 +848,26 @@ def _run_cell(args):
                             run_log=run_log)
     result = evaluate(checkpoints, dataset, eval_split, plan)
     run_log.finish(seed, plan.to_dict())
-    agg_rows = result.aggregate_rows(plan, cid)
+    agg_rows = result.aggregate_rows(plan)
     write_csv(os.path.join(cell_dir, "metrics.csv"), AGGREGATE_COLUMNS,
               agg_rows)
     write_csv(os.path.join(cell_dir, "records.csv"), RECORD_METRIC_COLUMNS,
               result.per_record)
-    return agg_rows, result.summary_row(plan, cid)
+    return agg_rows, result.summary_row(plan)
 
 
-def run_ablation(cells, dataset_root, base_plan, out_dir, seed=0,
-                 eval_split="test"):
-    """Train and score one pipeline per (contrast, domain, accel) cell.
+def run_ablation(plans, dataset_root, out_dir, seed, eval_split):
+    """Train and score one pipeline per plan, as cell_plans builds them.
 
-    cells : list of (contrast_mode, domain_mode, accel)
-    Every cell's plan, base_plan with the cell's modes and accel, is
-    validated before out_dir or any worker is created.  DDMC_THREADS
-    caps the worker processes; the default is one worker per cell.
-    Each cell is self-contained and seeded, so results do not depend
-    on the worker count.
+    DDMC_THREADS caps the worker processes; the default is one worker
+    per cell.  Each cell is self-contained and seeded, so results do
+    not depend on the worker count.
     """
-    cells = [tuple(c) for c in cells]
-    if len(set(cells)) != len(cells):
-        raise ValidationError("ablation grid contains duplicate cells")
-    if not cells:
-        raise ValidationError("ablation grid is empty")
-    plans = [replace(base_plan, contrast_mode=cm, domain_mode=dm, accel=ac)
-             for cm, dm, ac in cells]
-    for plan in plans:
-        plan.validate()
     env = os.environ.get("DDMC_THREADS", "")
-    workers = int(env) if env else len(cells)
+    workers = int(env) if env else len(plans)
     if workers < 1:
         raise ValidationError("DDMC_THREADS must be >= 1, got %r" % env)
-    workers = min(workers, len(cells))
+    workers = min(workers, len(plans))
     os.makedirs(out_dir, exist_ok=True)
     jobs = [(plan, dataset_root, out_dir, seed, eval_split) for plan in plans]
     if workers == 1:

@@ -10,11 +10,13 @@ few ulp away from the decimal literals).
 import contextlib
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from ddmc.acquisition import data_consistency_channels, make_mask
 from ddmc.cli import main as cli_main
+from ddmc.config import default_config
 from ddmc.datagen import Dataset, build_dataset
 from ddmc.diffcore import (AdamState, Tensor, adam_step, batchnorm2d,
                            conv2d, fully_connected, grad_check,
@@ -25,10 +27,9 @@ from ddmc.fourier import fft2c_channels, fft2c_stack, ifft2c_stack
 from ddmc.kernels import warp_forward
 from ddmc.models import (ReconNet, ReconNetConfig, RegNet, RegNetConfig,
                          register_refined)
-from ddmc.objectives import (LossWeights, parseval_collapse_check,
+from ddmc.objectives import (STAGES, LossWeights, parseval_collapse_check,
                              stage_loss, weighted_total)
-from ddmc.pipeline import (Checkpoint, RunLog, StagePlan, StageSettings,
-                           forward_stage, train_all)
+from ddmc.pipeline import Checkpoint, RunLog, forward_stage, train_all
 
 
 @contextlib.contextmanager
@@ -156,7 +157,8 @@ def test_criterion_2_acquisition():
 
         # every reconstruction output keeps the measured rows < 1e-6
         rows = mask.row_indices()
-        image_plan = StagePlan(domain_mode="image")
+        image_plan = replace(default_config().stage_plan(),
+                             domain_mode="image")
         for in_ch, inputs in ((2, x_ch),
                               (4, np.concatenate([img, x_ch], 1))):
             net = ReconNet(ReconNetConfig(in_channels=in_ch, base_channels=4,
@@ -173,7 +175,8 @@ def test_criterion_2_acquisition():
                                         depth=2),
                          rng=np.random.default_rng(9)).eval_mode()
         k_out = forward_stage("reconstruction",
-                              StagePlan(domain_mode="kspace"),
+                              replace(default_config().stage_plan(),
+                                      domain_mode="kspace"),
                               {"recon_kspace": k_net},
                               {"in_kspace": y_ch, "y_u": y_ch,
                                "plane": mask})["kspace"].data
@@ -182,7 +185,7 @@ def test_criterion_2_acquisition():
 
 def test_criterion_3_loss_identities():
     with criterion(3, "loss identity suite"):
-        w = LossWeights()
+        w = LossWeights(alpha=1e-2, beta=0.7)
         total = weighted_total(1.0, 2.0, 3.0, 4.0, w)
         assert abs(total - 3.148) < 1e-12
         assert total == 1.0 + 0.01 * 2.0 + 0.7 * (3.0 + 0.01 * 4.0)
@@ -269,12 +272,12 @@ def test_criterion_4_registration_recovery(tmp_path):
 
 
 def _tiny_plan():
-    settings = {s: StageSettings(max_epochs=2, patience=2, batch_size=2,
-                                 lr=1e-3) for s in
-                ("synthesis", "registration", "reconstruction")}
-    plan = StagePlan(contrast_mode="fused", domain_mode="dual", accel=4,
-                     image_size=32, base_channels=4, depth=2,
-                     reg_channels=(4, 4), reg_fc_hidden=8, stages=settings)
+    plan = replace(default_config().stage_plan(), contrast_mode="fused",
+                   domain_mode="dual", accel=4, image_size=32,
+                   base_channels=4, depth=2, reg_channels=(4, 4),
+                   reg_fc_hidden=8, batch_size=2, lr=1e-3, patience=2,
+                   max_epochs={s: 2 for s in STAGES},
+                   weights=LossWeights(alpha=1e-2, beta=0.7))
     plan.validate()
     return plan
 

@@ -1,16 +1,19 @@
 """Line masks, undersampling, and data consistency."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ddmc.acquisition import (SamplingMask, data_consistency_channels,
                               make_mask)
+from ddmc.config import default_config
 from ddmc.datagen import ContrastPairRecord
 from ddmc.diffcore import Tensor, concat_channels, grad_check, mse
 from ddmc.errors import MaskBudgetError, ShapeError, ValidationError
 from ddmc.fourier import ComplexImage, fft2c_stack, ifft2c_stack
 from ddmc.geometry import RigidParams
-from ddmc.pipeline import StagePlan, prepare_record
+from ddmc.pipeline import prepare_record
 
 
 def dc_loops(k_pred, y_u, sampled):
@@ -38,8 +41,8 @@ def prepared(rng, h, w, accel, n_center=6):
                              ref_moved=img,
                              true_motion=RigidParams.identity(),
                              brain_mask=np.ones((h, w), dtype=bool))
-    plan = StagePlan(contrast_mode="single", accel=accel,
-                     n_center=n_center, image_size=h)
+    plan = replace(default_config().stage_plan(), contrast_mode="single",
+                   accel=accel, n_center=n_center, image_size=h)
     return prepare_record(rec, plan)
 
 

@@ -107,16 +107,21 @@ def test_make_masks(tmp_path):
         assert len(rows) == n
     assert run(["make-masks", "--out", out / "bad", "--height", 16,
                 "--accel", 8] + FAST) == 2
+    # only a missing --height falls back to data.size
+    assert run(["make-masks", "--out", out / "zero", "--height", 0,
+                "--accel", 4] + FAST) == 2
+    assert not (out / "bad").exists() and not (out / "zero").exists()
 
 
 def test_grid_parsing():
     assert _parse_grid(["dual,fused,4x"]) == [("fused", "dual", 4)]
     assert _parse_grid(["image,single,8x;dual,concat,4x"]) == [
         ("single", "image", 8), ("concat", "dual", 4)]
-    for bad in ("dual,fused", "dual,fused,x4", "tri,fused,4x",
-                "dual,mixed,4x", "dual,fused,0x"):
+    for bad in ("dual,fused", "dual,fused,x4", "dual,fused,fourx"):
         with pytest.raises(ValidationError):
             _parse_grid([bad])
+    # modes and acceleration are the plan's to check (see cell_plans)
+    assert _parse_grid(["tri,mixed,0x"]) == [("mixed", "tri", 0)]
 
 
 def test_out_of_order_train_names_missing_stage(tmp_path, capsys):
@@ -146,6 +151,41 @@ def test_infeasible_acceleration_fails_before_any_output(tmp_path, capsys):
     assert "centre block" in capsys.readouterr().err
     for cell in ("single-dual-4x", "single-dual-16x"):
         assert not (ab_dir / cell).exists()
+
+
+def test_refused_ablation_writes_nothing(tmp_path, capsys):
+    # every cell is validated before the snapshot or the dataset is
+    # touched, so a refused grid leaves no --out behind
+    for grid, message in (("dual,single,4x;dual,single,16x", "centre block"),
+                          ("tri,fused,4x", "unknown domain mode 'tri'")):
+        out = tmp_path / "ablate"
+        assert run(["ablate", "--data", tmp_path / "data", "--out", out,
+                    "--grid", grid] + FAST) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_train_stage_reads_only_the_checkpoints_it_needs(tmp_path):
+    data, out = tmp_path / "data", tmp_path / "run"
+    assert run(["gen-data", "--out", data] + FAST) == 0
+    assert run(["train", "--data", data, "--out", out] + FAST) == 0
+
+    def truncate(stage):
+        path = out / (stage + ".ckpt")
+        path.write_bytes(path.read_bytes()[:-100])
+
+    # neither a later stage's checkpoint nor the one being retrained is
+    # read
+    truncate("reconstruction")
+    assert run(["train", "--data", data, "--out", out,
+                "--stage", "registration"] + FAST) == 0
+    truncate("registration")
+    assert run(["train", "--data", data, "--out", out,
+                "--stage", "registration"] + FAST) == 0
+    # an earlier stage's checkpoint still is
+    truncate("registration")
+    assert run(["train", "--data", data, "--out", out,
+                "--stage", "reconstruction"] + FAST) == 3
 
 
 def test_ablate_no_clobber_refuses_metrics_and_cell_dirs(tmp_path, capsys):

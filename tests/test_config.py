@@ -1,10 +1,13 @@
 """Config schema, overrides, and resolved snapshots."""
 
+import dataclasses
+
 import pytest
 
 from ddmc.config import (SCHEMA, SNAPSHOT_NAME, default_config, default_text,
                          load_config)
 from ddmc.errors import ValidationError
+from ddmc.objectives import LossWeights
 from ddmc.pipeline import StagePlan
 
 
@@ -77,18 +80,23 @@ def test_default_text_parses_back():
 def test_stage_plan_resolution():
     cfg = load_config(None, overrides=[
         "train.max_epochs=12", "train.synthesis_max_epochs=3",
-        "train.contrast_mode=single"])
+        "train.contrast_mode=single", "train.batch_size=4",
+        "train.lr=1e-3", "train.patience=5"])
     plan = cfg.stage_plan()
-    assert plan.stages["synthesis"].max_epochs == 3
-    assert plan.stages["registration"].max_epochs == 12
+    assert (plan.batch_size, plan.lr, plan.patience) == (4, 1e-3, 5)
+    assert plan.max_epochs == {"synthesis": 3, "registration": 12,
+                               "reconstruction": 12}
     assert plan.contrast_mode == "single"
     assert plan.required_stages() == ("reconstruction",)
 
 
-def test_config_defaults_are_the_plan_defaults():
-    # the schema and the StagePlan dataclasses each spell out the
-    # defaults; they must describe one plan
-    assert default_config().stage_plan().to_dict() == StagePlan().to_dict()
+def test_plan_records_declare_no_defaults():
+    # SCHEMA is the one place a default is written
+    for cls in (StagePlan, LossWeights):
+        for f in dataclasses.fields(cls):
+            assert f.default is dataclasses.MISSING, (cls.__name__, f.name)
+            assert f.default_factory is dataclasses.MISSING, \
+                (cls.__name__, f.name)
 
 
 def test_dataset_args_auto_mm_per_px():

@@ -1,18 +1,20 @@
 """Networks: shapes, identity init, refinement, consistency wiring."""
 
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import ddmc.kernels
 from ddmc.acquisition import make_mask
+from ddmc.config import default_config
 from ddmc.diffcore import ParamSet, Tensor, warp_rigid
 from ddmc.errors import ParamError, ShapeError, ValidationError
 from ddmc.fourier import fft2c_channels, fft2c_stack, ifft2c_stack
 from ddmc.models import (ReconNet, ReconNetConfig, RegNet, RegNetConfig,
                          SynthNet, SynthNetConfig, register_refined)
-from ddmc.pipeline import StagePlan, forward_stage
+from ddmc.pipeline import forward_stage
 
 
 def rng_for(k):
@@ -157,8 +159,9 @@ def test_recon_forward_applies_data_consistency():
              "in_kspace": np.concatenate(
                  [fft2c_stack(small_image(rng)), y_u], axis=1),
              "y_u": y_u, "plane": mask}
-    out = forward_stage("reconstruction", StagePlan(domain_mode="dual"),
-                        nets, batch)
+    out = forward_stage("reconstruction",
+                        replace(default_config().stage_plan(),
+                                domain_mode="dual"), nets, batch)
     rows = mask.row_indices()
     y = y_u[0][:, rows]
     k_out = fft2c_channels(out["image"]).data[0]

@@ -9,6 +9,9 @@ from ddmc.fourier import fft2c_channels
 from ddmc.objectives import (LossWeights, parseval_collapse_check,
                              stage_loss, weighted_total)
 
+# the loss.alpha and loss.beta defaults of the config
+WEIGHTS = LossWeights(alpha=1e-2, beta=0.7)
+
 
 def make_case(rng, n=2, h=8, w=8, dtype=np.float64, grad=False):
     # ground-truth pair must be transform-consistent, as in the
@@ -24,7 +27,7 @@ def make_case(rng, n=2, h=8, w=8, dtype=np.float64, grad=False):
 
 
 def test_weighted_total_substitution_example():
-    w = LossWeights()
+    w = WEIGHTS
     got = weighted_total(1.0, 2.0, 3.0, 4.0, w)
     # exact up to IEEE double rounding: 0.7 * 3.04 is not binary-exact
     assert abs(got - 3.148) < 1e-12
@@ -33,16 +36,16 @@ def test_weighted_total_substitution_example():
 
 def test_weights_validation():
     with pytest.raises(ValidationError):
-        LossWeights(alpha=0.0)
+        LossWeights(alpha=0.0, beta=0.7)
     with pytest.raises(ValidationError):
-        LossWeights(beta=-0.1)
-    LossWeights(beta=0.0)
+        LossWeights(alpha=1e-2, beta=-0.1)
+    LossWeights(alpha=1e-2, beta=0.0)
 
 
 def test_stage_loss_components_are_mses():
     rng = np.random.default_rng(0)
     outputs, truth = make_case(rng)
-    w = LossWeights()
+    w = WEIGHTS
     rep = stage_loss("reconstruction", outputs, truth, w)
 
     def npmse(a, b):
@@ -63,7 +66,7 @@ def test_stage_loss_components_are_mses():
 def test_beta_zero_drops_cross_terms():
     rng = np.random.default_rng(1)
     outputs, truth = make_case(rng)
-    w = LossWeights(beta=0.0)
+    w = LossWeights(alpha=1e-2, beta=0.0)
     rep = stage_loss("synthesis", outputs, truth, w)
     want = rep.components["image"] + w.alpha * rep.components["kspace"]
     assert rep.total == pytest.approx(want, rel=1e-12)
@@ -74,7 +77,7 @@ def test_perfect_outputs_zero_loss():
     _, truth = make_case(rng)
     outputs = {"image": Tensor(truth["image"].data.copy()),
                "kspace": Tensor(truth["kspace"].data.copy())}
-    rep = stage_loss("registration", outputs, truth, LossWeights())
+    rep = stage_loss("registration", outputs, truth, WEIGHTS)
     assert rep.components["image"] == 0.0
     assert rep.total < 1e-25
 
@@ -83,12 +86,12 @@ def test_single_domain_modes():
     rng = np.random.default_rng(3)
     outputs, truth = make_case(rng)
     rep_i = stage_loss("synthesis", {"image": outputs["image"]},
-                       {"image": truth["image"]}, LossWeights(),
+                       {"image": truth["image"]}, WEIGHTS,
                        domain_mode="image")
     assert rep_i.total == rep_i.components["image"]
     assert rep_i.components["kspace"] is None
     rep_k = stage_loss("synthesis", {"kspace": outputs["kspace"]},
-                       {"kspace": truth["kspace"]}, LossWeights(),
+                       {"kspace": truth["kspace"]}, WEIGHTS,
                        domain_mode="kspace")
     assert rep_k.total == rep_k.components["kspace"]
     assert rep_k.components["cross_ik"] is None
@@ -117,7 +120,7 @@ def test_collapse_makes_dual_total_affine_in_direct_terms():
     # (1 + alpha*beta) L_i + (alpha + beta) L_k up to rounding
     rng = np.random.default_rng(6)
     outputs, truth = make_case(rng)
-    w = LossWeights()
+    w = WEIGHTS
     rep = stage_loss("reconstruction", outputs, truth, w)
     l_i, l_k = rep.components["image"], rep.components["kspace"]
     want = (1 + w.alpha * w.beta) * l_i + (w.alpha + w.beta) * l_k
@@ -127,7 +130,7 @@ def test_collapse_makes_dual_total_affine_in_direct_terms():
 def test_magnitude_mode_image_terms():
     rng = np.random.default_rng(7)
     outputs, truth = make_case(rng)
-    rep = stage_loss("reconstruction", outputs, truth, LossWeights(),
+    rep = stage_loss("reconstruction", outputs, truth, WEIGHTS,
                      image_loss="magnitude")
     oi, ti = outputs["image"].data, truth["image"].data
     mo = np.sqrt(oi[:, 0] ** 2 + oi[:, 1] ** 2)
@@ -142,7 +145,7 @@ def test_magnitude_mode_image_terms():
 def test_missing_pieces_rejected():
     rng = np.random.default_rng(8)
     outputs, truth = make_case(rng)
-    w = LossWeights()
+    w = WEIGHTS
     with pytest.raises(ValidationError):
         stage_loss("warmup", outputs, truth, w)
     with pytest.raises(ValidationError):
@@ -161,7 +164,7 @@ def test_missing_pieces_rejected():
 def test_total_node_carries_gradients():
     rng = np.random.default_rng(9)
     outputs, truth = make_case(rng, dtype=np.float64, grad=True)
-    rep = stage_loss("reconstruction", outputs, truth, LossWeights())
+    rep = stage_loss("reconstruction", outputs, truth, WEIGHTS)
     rep.total_node.backward()
     assert outputs["image"].grad is not None
     assert outputs["kspace"].grad is not None

@@ -3,10 +3,12 @@
 import copy
 import csv
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from ddmc.config import default_config
 from ddmc.datagen import Dataset, build_dataset
 import ddmc.pipeline
 from ddmc.errors import (CheckpointIntegrityError, MaskBudgetError,
@@ -14,22 +16,21 @@ from ddmc.errors import (CheckpointIntegrityError, MaskBudgetError,
                          TruncatedFileError, ValidationError)
 from ddmc.evalkit import psnr
 from ddmc.models import RegNet, SynthNet
-from ddmc.pipeline import (Checkpoint, RunLog, StagePlan, StageSettings,
-                           _build_net, _record_table, cell_name,
-                           check_stage_order, compute_stage_inputs, evaluate,
-                           prepare_record, run_ablation, train_all,
-                           train_stage)
+from ddmc.objectives import STAGES, LossWeights
+from ddmc.pipeline import (Checkpoint, RunLog, _build_net, _record_table,
+                           cell_name, cell_plans, check_stage_order,
+                           compute_stage_inputs, evaluate, prepare_record,
+                           run_ablation, train_all, train_stage)
 
 
 def tiny_plan(**kw):
-    settings = {s: StageSettings(max_epochs=2, patience=2, batch_size=2,
-                                 lr=1e-3) for s in
-                ("synthesis", "registration", "reconstruction")}
     args = dict(contrast_mode="fused", domain_mode="dual", accel=4,
                 image_size=32, base_channels=4, depth=2,
-                reg_channels=(4, 4), reg_fc_hidden=8, stages=settings)
+                reg_channels=(4, 4), reg_fc_hidden=8, batch_size=2, lr=1e-3,
+                patience=2, max_epochs={s: 2 for s in STAGES},
+                weights=LossWeights(alpha=1e-2, beta=0.7))
     args.update(kw)
-    plan = StagePlan(**args)
+    plan = replace(default_config().stage_plan(), **args)
     plan.validate()
     return plan
 
@@ -61,6 +62,11 @@ def test_plan_validation():
         tiny_plan(accel=16)
     with pytest.raises(ValidationError):
         tiny_plan(reg_refine_iters=0)
+    for bad in (dict(batch_size=0), dict(lr=0.0), dict(patience=-1),
+                dict(max_epochs={"synthesis": 2, "registration": 2}),
+                dict(max_epochs={s: 0 for s in STAGES})):
+        with pytest.raises(ValidationError):
+            tiny_plan(**bad)
 
 
 def test_required_stages_by_contrast_mode():
@@ -73,16 +79,18 @@ def test_required_stages_by_contrast_mode():
 
 
 def test_plan_to_dict_is_the_checkpoint_header_form():
-    plan = tiny_plan(domain_mode="image", image_loss="magnitude")
-    settings = {"max_epochs": 2, "patience": 2, "batch_size": 2, "lr": 1e-3}
+    plan = tiny_plan(domain_mode="image", image_loss="magnitude",
+                     max_epochs={"synthesis": 3, "registration": 2,
+                                 "reconstruction": 4})
     assert plan.to_dict() == {
         "contrast_mode": "fused", "domain_mode": "image",
         "image_loss": "magnitude", "alpha": 1e-2, "beta": 0.7, "accel": 4,
         "mask_seed": 1009, "n_center": 6, "sigma_frac": 0.25,
         "image_size": 32, "base_channels": 4, "depth": 2,
         "reg_channels": [4, 4], "reg_fc_hidden": 8, "reg_refine_iters": 3,
-        "stages": {"synthesis": settings, "registration": settings,
-                   "reconstruction": settings}}
+        "batch_size": 2, "lr": 1e-3, "patience": 2,
+        "max_epochs": {"synthesis": 3, "registration": 2,
+                       "reconstruction": 4}}
 
 
 def test_out_of_order_raises_and_writes_nothing(dataset, tmp_path):
@@ -153,7 +161,7 @@ def test_single_domain_batches_carry_only_their_own_truth(
     plan = tiny_plan(contrast_mode="single", domain_mode=domain_mode)
     train_stage("reconstruction", dataset, plan, seed=0)
     # two training and one validation batch per epoch
-    assert len(keys) == 3 * plan.stages["reconstruction"].max_epochs
+    assert len(keys) == 3 * plan.max_epochs["reconstruction"]
     for batch_keys in keys:
         assert {k for k in batch_keys if k.startswith("gt_")} == \
             {"gt_" + domain_mode}
@@ -220,6 +228,20 @@ def test_checkpoint_roundtrip_and_tamper(dataset, tmp_path):
         Checkpoint.load(truncated)
 
 
+def test_checkpoint_of_an_older_format_is_refused_by_version(tmp_path):
+    path = str(tmp_path / "old.ckpt")
+    Checkpoint(stage="reconstruction", param_sets={},
+               config=tiny_plan().to_dict(), seed=0, val_history=[],
+               finalised=True).save(path)
+    raw = open(path, "rb").read()
+    assert b'"format_version": 2' in raw
+    open(path, "wb").write(raw.replace(b'"format_version": 2',
+                                       b'"format_version": 1'))
+    with pytest.raises(CheckpointIntegrityError) as exc:
+        Checkpoint.load(path)
+    assert "checkpoint version 1, expected 2" in str(exc.value)
+
+
 def test_rerun_determinism(dataset, tmp_path):
     plan = tiny_plan()
     outs = []
@@ -254,9 +276,8 @@ def test_seed_changes_training(dataset, tmp_path):
 
 
 def test_early_stop_keeps_best_epoch(dataset):
-    plan = tiny_plan(contrast_mode="single")
-    plan.stages["reconstruction"] = StageSettings(
-        max_epochs=6, patience=2, batch_size=2, lr=1e-3)
+    plan = tiny_plan(contrast_mode="single",
+                     max_epochs={s: 6 for s in STAGES})
     ck = train_stage("reconstruction", dataset, plan, seed=4)
     vals = ck.val_history
     assert len(vals) >= 1
@@ -375,16 +396,35 @@ def test_evaluate_checks_each_checkpoint(dataset):
             evaluate({"reconstruction": bad}, dataset, "test", plan)
 
 
-def test_cell_name_and_ablation(dataset, tmp_path, monkeypatch):
-    assert cell_name("fused", "dual", 4) == "fused-dual-4x"
-    root = dataset  # reuse records by regenerating a root on disk
+def test_cell_plans():
+    base = tiny_plan(contrast_mode="single", lr=5e-4)
+    plans = cell_plans(base, [("fused", "image", 2), ("concat", "dual", 4)])
+    assert [cell_name(p) for p in plans] == ["fused-image-2x",
+                                             "concat-dual-4x"]
+    assert plans[0] == replace(base, contrast_mode="fused",
+                               domain_mode="image", accel=2)
+    with pytest.raises(ValidationError):
+        cell_plans(base, [])
+    with pytest.raises(ValidationError):
+        cell_plans(base, [("single", "dual", 4), ("single", "dual", 4)])
+    for bad in (("fused", "tri", 4), ("mixed", "dual", 4),
+                ("fused", "dual", 0)):
+        with pytest.raises(ValidationError):
+            cell_plans(base, [("single", "dual", 4), bad])
+    # floor(32/16) = 2 rows cannot cover the 6-row centre block
+    with pytest.raises(MaskBudgetError):
+        cell_plans(base, [("single", "dual", 4), ("single", "dual", 16)])
+
+
+def test_cell_name_and_ablation(tmp_path, monkeypatch):
+    assert cell_name(tiny_plan()) == "fused-dual-4x"
     ds_root = str(tmp_path / "ds")
     build_dataset(ds_root, n_train=4, n_val=2, n_test=2, size=32,
                   n_structures=3, seed=5)
     out = str(tmp_path / "ab")
-    plan = tiny_plan(contrast_mode="single")
-    rows = run_ablation([("single", "dual", 4), ("concat", "dual", 4)],
-                        ds_root, plan, out, seed=0)
+    plans = cell_plans(tiny_plan(contrast_mode="single"),
+                       [("single", "dual", 4), ("concat", "dual", 4)])
+    run_ablation(plans, ds_root, out, 0, "test")
     summary = read_rows(os.path.join(out, "summary.csv"))
     assert len(summary) == 3
     assert summary[1][0] == "single-dual-4x"
@@ -392,22 +432,10 @@ def test_cell_name_and_ablation(dataset, tmp_path, monkeypatch):
     for cid in ("single-dual-4x", "concat-dual-4x"):
         assert os.path.exists(os.path.join(out, cid, "metrics.csv"))
 
-    with pytest.raises(ValidationError):
-        run_ablation([], ds_root, plan, str(tmp_path / "ab2"))
-    with pytest.raises(ValidationError):
-        run_ablation([("single", "dual", 4), ("single", "dual", 4)],
-                     ds_root, plan, str(tmp_path / "ab3"))
-    # an infeasible cell fails before any cell trains or out_dir exists
-    with pytest.raises(MaskBudgetError):
-        run_ablation([("single", "dual", 4), ("single", "dual", 16)],
-                     ds_root, plan, str(tmp_path / "ab4"))
-    assert not os.path.exists(str(tmp_path / "ab4"))
-
     # one worker process gives the same bytes as one worker per cell
     monkeypatch.setenv("DDMC_THREADS", "1")
     serial = str(tmp_path / "ab_serial")
-    run_ablation([("single", "dual", 4), ("concat", "dual", 4)],
-                 ds_root, plan, serial, seed=0)
+    run_ablation(plans, ds_root, serial, 0, "test")
     compared = 0
     for sub in ("", "single-dual-4x", "concat-dual-4x"):
         names = sorted(os.listdir(os.path.join(out, sub)))
