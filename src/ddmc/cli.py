@@ -21,7 +21,7 @@ from .errors import DdmcError, RecordFormatError, ValidationError
 from .evalkit import render_report
 from .pipeline import (AGGREGATE_COLUMNS, Checkpoint, RECORD_METRIC_COLUMNS,
                        RunLog, STAGES, cell_name, cell_plans, evaluate,
-                       run_ablation, train_all, train_stage, write_csv)
+                       run_ablation, train_stages, write_csv)
 
 
 class _UsageError(Exception):
@@ -169,21 +169,16 @@ def _cmd_train(args):
     cfg = _config_for(args)
     plan = cfg.stage_plan()
     seed = cfg.seed()
-    stages = plan.required_stages() if args.stage == "all" else (args.stage,)
+    required = plan.required_stages()
+    stages = required if args.stage == "all" else (args.stage,)
     _no_clobber(args, [os.path.join(args.out, s + ".ckpt") for s in stages])
     dataset = Dataset.load(args.data)
     cfg.write_snapshot(args.out)
     run_log = RunLog(args.out, stages)
-    if args.stage == "all":
-        checkpoints = train_all(dataset, plan, seed=seed, out_dir=args.out,
-                                run_log=run_log)
-    else:
-        prior = _load_checkpoints(args.out, [
-            s for s in plan.required_stages()
-            if STAGES.index(s) < STAGES.index(args.stage)])
-        ck = train_stage(args.stage, dataset, plan, prior, seed=seed,
-                         out_dir=args.out, run_log=run_log)
-        checkpoints = {args.stage: ck}
+    prior = _load_checkpoints(args.out, [
+        s for s in required if STAGES.index(s) < STAGES.index(stages[0])])
+    checkpoints = train_stages(stages, dataset, plan, prior, seed, args.out,
+                               run_log)
     run_log.finish(seed, plan.to_dict())
     for stage in checkpoints:
         print("finalised %s" % os.path.join(args.out, stage + ".ckpt"))
@@ -231,12 +226,17 @@ def _parse_grid(specs):
 def _cmd_ablate(args):
     cfg = _config_for(args)
     plans = cell_plans(cfg.stage_plan(), _parse_grid(args.grid))
+    # DDMC_THREADS caps the worker processes; the default is one per cell
+    workers = os.environ.get("DDMC_THREADS") or str(len(plans))
+    if not workers.isdigit() or int(workers) < 1:
+        raise ValidationError("DDMC_THREADS must be an integer >= 1, got %r"
+                              % workers)
     _no_clobber(args, [os.path.join(args.out, name)
                        for name in ["summary.csv", "metrics.csv"]
                        + [cell_name(p) for p in plans]])
     cfg.write_snapshot(args.out)
     summaries = run_ablation(plans, args.data, args.out, cfg.seed(),
-                             args.split)
+                             args.split, int(workers))
     for row in summaries:
         scores = ["%s psnr %.2f" % (b, row["psnr_" + b])
                   for b in ("image", "kspace") if row["psnr_" + b] is not None]

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .errors import (BadMagicError, TruncatedFileError, ValidationError,
-                     VersionMismatchError)
+from .errors import (BadMagicError, RecordFormatError, TruncatedFileError,
+                     ValidationError, VersionMismatchError)
 from .fourier import ComplexImage
 from .geometry import RigidParams
 from .kernels import warp_forward
@@ -236,19 +236,19 @@ class DatasetManifest:
     def to_json(self):
         return json.dumps(self.__dict__, sort_keys=True, indent=1)
 
-    @classmethod
-    def from_json(cls, text):
-        d = json.loads(text)
-        return cls(**d)
-
     def save(self, path):
         with open(path, "w") as f:
             f.write(self.to_json() + "\n")
 
     @classmethod
     def load(cls, path):
-        with open(path) as f:
-            return cls.from_json(f.read())
+        with open(path, "rb") as f:
+            raw = f.read()
+        try:
+            return cls(**json.loads(raw))
+        except (ValueError, TypeError) as e:
+            raise RecordFormatError("malformed manifest %s: %s"
+                                    % (path, e)) from e
 
 
 def record_path(root, record_id):

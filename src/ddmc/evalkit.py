@@ -1,11 +1,11 @@
 """Brain-masked image quality metrics and report rendering.
 
-Metrics compare magnitudes (ground truth is real-valued, estimates may
-carry residual imaginary parts) inside the brain mask only, with the
-peak fixed at 1.0 so values are comparable across records.  Both
-metrics ignore everything outside the mask: PSNR by masked averaging,
-SSIM by zeroing the images outside the mask before windowing, so no
-unmasked pixel can leak into any window statistic it is averaged over.
+Metrics compare 2-D magnitude arrays (ground truth is real-valued,
+estimates may carry residual imaginary parts) inside the brain mask
+only, with the peak fixed at 1.0 so values are comparable across
+records.  Both metrics ignore everything outside the mask: PSNR by
+masked averaging, SSIM by zeroing the images outside the mask before
+windowing, so no unmasked pixel can leak into any window statistic.
 """
 
 import csv
@@ -16,7 +16,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError, ValidationError
-from .fourier import ComplexImage
 
 PSNR_CAP = 100.0
 PEAK = 1.0
@@ -35,8 +34,6 @@ class MetricResult:
 
 
 def _magnitude_of(a):
-    if isinstance(a, ComplexImage):
-        return a.magnitude().astype(np.float64)
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim != 2:
         raise ShapeError("metrics expect 2-D images, got %s" % (arr.shape,))
@@ -148,10 +145,9 @@ def render_report(records, outputs, out_dir, err_scale=5.0):
     ----------
     records : list of ContrastPairRecord
     outputs : list of dict
-        Per record, named panels (e.g. zero_filled, synthesis,
-        registration, final), each a ComplexImage or a magnitude
-        array.  A ground_truth panel of the target is added
-        automatically.
+        Per record, named magnitude panels (e.g. zero_filled,
+        synthesis, registration, reconstruction).  A ground_truth panel
+        of the target's magnitude is added automatically.
     out_dir : str
     err_scale : float
         Absolute error maps are scaled by this factor before the
@@ -168,9 +164,8 @@ def render_report(records, outputs, out_dir, err_scale=5.0):
     written = []
     rows = []
     for rec, panels in zip(records, outputs):
-        truth = _magnitude_of(rec.tgt)
-        named = dict(panels)
-        named["ground_truth"] = rec.tgt
+        truth = _magnitude_of(rec.tgt.magnitude())
+        named = dict(panels, ground_truth=truth)
         for name in sorted(named):
             mag = _magnitude_of(named[name])
             base = os.path.join(out_dir, "rec_%05d_%s" % (rec.record_id, name))

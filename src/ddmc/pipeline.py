@@ -5,11 +5,13 @@ reconstruction) with freeze-and-advance semantics: a stage trains only
 its own networks while all earlier stages' parameters are loaded from
 finalised checkpoints, switched to inference mode, and never updated.
 
-Each stage and each evaluation prepares the splits it reads into
-record tables: each per-record array stacked in split order into one
-[N, ...] array.  The inputs that flow out of frozen networks are then
-computed once per stage over a whole table, which keeps epochs cheap,
-and every batch is taken from those stacks by row index.
+A training run or an evaluation prepares each split it reads once, as
+a record table: each per-record array stacked in split order into one
+[N, ...] array.  A finalised stage's output is a constant for every
+later stage, so add_stage_outputs runs each frozen stage once over a
+whole table and adds its output as a column; every later stage's
+inputs are columns of that table, and every batch is taken from them
+by row index.
 
 Contrast modes change the reconstruction input and which stages exist:
 
@@ -179,28 +181,29 @@ class Checkpoint:
         if nl < 0:
             raise CheckpointIntegrityError("no header line in %s" % path)
         try:
-            header = json.loads(buf[:nl].decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            header = dict(json.loads(buf[:nl].decode("utf-8")))
+        except (ValueError, TypeError) as e:
             raise CheckpointIntegrityError("unreadable header in %s: %s"
                                            % (path, e)) from e
         if header.get("format_version") != CHECKPOINT_VERSION:
             raise CheckpointIntegrityError(
                 "checkpoint version %r, expected %d"
                 % (header.get("format_version"), CHECKPOINT_VERSION))
+        try:
+            ck = cls(param_sets={}, **{k: header[k] for k in (
+                "stage", "config", "seed", "val_history", "finalised",
+                "param_hashes")})
+            names = header["nets"]
+        except KeyError as e:
+            raise CheckpointIntegrityError("header of %s lacks field %s"
+                                           % (path, e)) from e
         offset = nl + 1
-        param_sets = {}
-        for name in header["nets"]:
-            ps, offset = ParamSet.from_bytes(buf, offset)
-            param_sets[name] = ps
+        for name in names:
+            ck.param_sets[name], offset = ParamSet.from_bytes(buf, offset)
         if offset != len(buf):
             raise TruncatedFileError("%d trailing bytes in %s"
                                      % (len(buf) - offset, path))
-        ck = cls(stage=header["stage"], param_sets=param_sets,
-                 config=header["config"], seed=header["seed"],
-                 val_history=header["val_history"],
-                 finalised=header["finalised"],
-                 param_hashes=header["param_hashes"])
-        for name, ps in param_sets.items():
+        for name, ps in ck.param_sets.items():
             want = ck.param_hashes.get(name)
             got = ps.content_hash()
             if want != got:
@@ -420,46 +423,51 @@ def _frozen_synth(net, x):
     return _apply_chunked(lambda a: net(Tensor(a)).data, x)
 
 
-def compute_stage_inputs(stage, plan, frozen, table):
-    """A stage's input arrays for one split, with earlier stages applied.
+def add_stage_outputs(stage, plan, nets, table):
+    """Add a finalised stage's output to a split's record table.
 
-    `table` is the split's record table.  Everything upstream of the
-    trained stage is constant, so the inputs are computed once here
-    over the whole split instead of every epoch.  Returns {name: [N,
+    `nets` holds the stage's frozen networks and `table` the split's
+    record table, with the outputs of the earlier stages already added.
+    After synthesis, syn_<branch> is the frozen synthesis of the moved
+    reference; after registration, prior_<branch> is that image
+    registered to x_u.  Both are [N, 2, H, W] arrays in image space.
+    """
+    for b in plan.branches():
+        if stage == "synthesis":
+            br = _BRANCHES[b]
+            table["syn_" + b] = br.to_image(_frozen_synth(
+                nets["synth_" + b], table[br.ref_moved]))
+        elif stage == "registration":
+            table["prior_" + b] = _apply_chunked(
+                lambda m, f: register_refined(nets["registration"], m, f,
+                                              plan.reg_refine_iters)[1],
+                table["syn_" + b], table["x_u"])
+
+
+def compute_stage_inputs(stage, plan, table):
+    """A stage's input arrays for one split, selected from its table.
+
+    `table` is the split's record table, holding the outputs of every
+    earlier required stage (add_stage_outputs).  Returns {name: [N,
     ...] array} with row i built from the split's i-th record.  Every
     stage gets gt_<branch>, the branch's motion-free target, for the
-    plan's branches only.  In fused mode the reconstruction inputs also
-    hold prior_<branch>: the registered synthetic image, in image
-    space, that the branch's network input is built from.
+    plan's branches only.
     """
     out = {}
-
-    def moved_synthetic(b):
-        # the frozen synthesis of the moved reference, in image space
-        br = _BRANCHES[b]
-        return br.to_image(_frozen_synth(frozen["synth_" + b],
-                                         table[br.ref_moved]))
-
     for b in plan.branches():
         br = _BRANCHES[b]
         out["gt_" + b] = table[br.target]
         if stage == "synthesis":
             out["in_" + b] = table[br.ref_aligned]
         elif stage == "registration":
-            out["mov_" + b] = moved_synthetic(b)
+            out["mov_" + b] = table["syn_" + b]
         elif plan.contrast_mode == "single":
             out["in_" + b] = table[br.undersampled]
-        elif plan.contrast_mode == "concat":
-            out["in_" + b] = np.concatenate(
-                [table[br.ref_moved], table[br.undersampled]], axis=1)
         else:
-            reg = _apply_chunked(
-                lambda m, f: register_refined(frozen["registration"], m, f,
-                                              plan.reg_refine_iters)[1],
-                moved_synthetic(b), table["x_u"])
-            out["prior_" + b] = reg
-            out["in_" + b] = np.concatenate(
-                [br.from_image(reg), table[br.undersampled]], axis=1)
+            ref = (table[br.ref_moved] if plan.contrast_mode == "concat"
+                   else br.from_image(table["prior_" + b]))
+            out["in_" + b] = np.concatenate([ref, table[br.undersampled]],
+                                            axis=1)
     if stage == "registration":
         out["x_u"] = table["x_u"]
     elif stage != "synthesis":
@@ -503,11 +511,16 @@ def _batch_loss(stage, plan, nets, batch):
                       image_loss=plan.image_loss)
 
 
-def _validation_loss(stage, plan, nets, stage_in, n, batch_size):
+def _n_rows(arrays):
+    return len(next(iter(arrays.values())))
+
+
+def _validation_loss(stage, plan, nets, stage_in):
     for net in nets.values():
         net.eval_mode()
+    n = _n_rows(stage_in)
     total = 0.0
-    for rows in _batched(np.arange(n), batch_size):
+    for rows in _batched(np.arange(n), plan.batch_size):
         rep = _batch_loss(stage, plan, nets, _take(stage_in, rows))
         total += rep.total * len(rows)
     for net in nets.values():
@@ -570,49 +583,23 @@ def _check_finite(loss, kind, stage, epoch, step):
                                  % (stage, epoch, step, kind, loss))
 
 
-def train_stage(stage, dataset, plan, checkpoints=None, seed=0,
-                out_dir=None, run_log=None):
-    """Train one stage against frozen predecessors.
+def train_stage(stage, tables, plan, checkpoints, seed, out_dir, run_log):
+    """Train one stage against frozen predecessors; returns its
+    Checkpoint, finalised with the best-validation parameters.
 
-    Parameters
-    ----------
-    stage : str
-        Which stage to train; earlier required stages must appear
-        finalised in `checkpoints`.
-    dataset : Dataset
-        Provides "train" and "val" splits of contrast pair records.
-    plan : StagePlan
-    checkpoints : dict
-        stage name -> Checkpoint for already-trained stages.
-    seed : int
-        Root seed; initialisation and epoch shuffles derive from it.
-    out_dir : str
-        If given, the finalised checkpoint lands here as <stage>.ckpt.
-    run_log : RunLog
-
-    Returns
-    -------
-    Checkpoint
-        Finalised, with best-validation parameters restored.
-
-    Raises NonFiniteLossError, and writes no checkpoint, when a step's
-    loss or an epoch's validation loss is not finite.
+    `tables` holds the "train" and "val" record tables with the outputs
+    of every earlier required stage added, and `checkpoints` (stage ->
+    Checkpoint) those stages' finalised checkpoints.  Initialisation and
+    epoch shuffles derive from `seed`.  The checkpoint lands in
+    `out_dir` as <stage>.ckpt unless it is None; steps and epochs go to
+    `run_log` unless it is None.  Raises NonFiniteLossError, and writes
+    no checkpoint, when a step's or an epoch's validation loss is not
+    finite.
     """
-    plan.validate()
-    prior = check_stage_order(stage, plan, checkpoints)
+    check_stage_order(stage, plan, checkpoints)
     stage_idx = STAGES.index(stage)
-
-    train_recs = dataset.split("train")
-    val_recs = dataset.split("val")
-    if not train_recs or not val_recs:
-        raise ValidationError("training needs non-empty train and val "
-                              "splits, got %d/%d"
-                              % (len(train_recs), len(val_recs)))
-    frozen = _nets_from_checkpoints(plan, checkpoints or {}, prior)
-    train_in = compute_stage_inputs(stage, plan, frozen,
-                                    _record_table(train_recs, plan))
-    val_in = compute_stage_inputs(stage, plan, frozen,
-                                  _record_table(val_recs, plan))
+    train_in = compute_stage_inputs(stage, plan, tables["train"])
+    val_in = compute_stage_inputs(stage, plan, tables["val"])
 
     nets = {}
     for k, name in enumerate(_net_names(stage, plan)):
@@ -631,7 +618,7 @@ def train_stage(stage, dataset, plan, checkpoints=None, seed=0,
     for epoch in range(plan.max_epochs[stage]):
         rng = np.random.default_rng(
             np.random.SeedSequence([seed, stage_idx, epoch, 7]))
-        for rows in _batched(rng.permutation(len(train_recs)),
+        for rows in _batched(rng.permutation(_n_rows(train_in)),
                              plan.batch_size):
             for ps, _ in opt:
                 ps.zero_grads()
@@ -643,8 +630,7 @@ def train_stage(stage, dataset, plan, checkpoints=None, seed=0,
             if run_log is not None:
                 run_log.log_step(step, rep)
             step += 1
-        val_loss = _validation_loss(stage, plan, nets, val_in,
-                                    len(val_recs), plan.batch_size)
+        val_loss = _validation_loss(stage, plan, nets, val_in)
         _check_finite(val_loss, "validation", stage, epoch, step - 1)
         history.append(val_loss)
         if run_log is not None:
@@ -669,14 +655,34 @@ def train_stage(stage, dataset, plan, checkpoints=None, seed=0,
     return ck
 
 
-def train_all(dataset, plan, seed=0, out_dir=None, run_log=None):
-    """Train every stage the contrast mode requires, in order."""
-    checkpoints = {}
-    for stage in plan.required_stages():
-        checkpoints[stage] = train_stage(stage, dataset, plan, checkpoints,
-                                         seed=seed, out_dir=out_dir,
-                                         run_log=run_log)
-    return checkpoints
+def train_stages(stages, dataset, plan, checkpoints, seed, out_dir, run_log):
+    """Train `stages`, consecutive required stages, in order.
+
+    `checkpoints` holds the finalised stages required before
+    stages[0].  The train and val splits are prepared once; each
+    finalised stage's outputs are added to them once, and every later
+    stage reads its inputs from them.  Arguments otherwise as for
+    train_stage.  Returns {stage: Checkpoint} for the stages trained.
+    """
+    plan.validate()
+    prior = check_stage_order(stages[0], plan, checkpoints)
+    recs = {split: dataset.split(split) for split in ("train", "val")}
+    if not recs["train"] or not recs["val"]:
+        raise ValidationError("training needs non-empty train and val "
+                              "splits, got %d/%d"
+                              % (len(recs["train"]), len(recs["val"])))
+    tables = {split: _record_table(r, plan) for split, r in recs.items()}
+    checkpoints = dict(checkpoints)
+    trained = {}
+    for stage in prior + tuple(stages):
+        if stage in stages:
+            checkpoints[stage] = trained[stage] = train_stage(
+                stage, tables, plan, checkpoints, seed, out_dir, run_log)
+        if stage != stages[-1]:
+            nets = _nets_from_checkpoints(plan, checkpoints, (stage,))
+            for table in tables.values():
+                add_stage_outputs(stage, plan, nets, table)
+    return trained
 
 
 def _mag(ch):
@@ -737,11 +743,13 @@ def evaluate(checkpoints, dataset, split, plan, with_outputs=False):
         raise ValidationError("split %r is empty" % split)
     nets = _nets_from_checkpoints(plan, checkpoints, required)
     table = _record_table(recs, plan)
+    for stage in required[:-1]:
+        add_stage_outputs(stage, plan, nets, table)
     branches = plan.branches()
 
     # (stage, branch) -> [N, 2, H, W] image-space estimates, in split order
     estimates = {}
-    recon_in = compute_stage_inputs("reconstruction", plan, nets, table)
+    recon_in = compute_stage_inputs("reconstruction", plan, table)
     recon = [forward_stage("reconstruction", plan, nets,
                            _take(recon_in, rows))
              for rows in _batched(np.arange(len(recs)), _CHUNK)]
@@ -750,7 +758,7 @@ def evaluate(checkpoints, dataset, split, plan, with_outputs=False):
         if plan.contrast_mode == "fused":
             estimates["synthesis", b] = br.to_image(_frozen_synth(
                 nets["synth_" + b], table[br.ref_aligned]))
-            estimates["registration", b] = recon_in["prior_" + b]
+            estimates["registration", b] = table["prior_" + b]
         estimates["reconstruction", b] = np.concatenate(
             [br.to_image(out[b].data) for out in recon])
     mags = {key: _mag(est) for key, est in estimates.items()}
@@ -844,8 +852,8 @@ def _run_cell(args):
     os.makedirs(cell_dir, exist_ok=True)
     dataset = Dataset.load(dataset_root)
     run_log = RunLog(cell_dir)
-    checkpoints = train_all(dataset, plan, seed=seed, out_dir=cell_dir,
-                            run_log=run_log)
+    checkpoints = train_stages(plan.required_stages(), dataset, plan, {},
+                               seed, cell_dir, run_log)
     result = evaluate(checkpoints, dataset, eval_split, plan)
     run_log.finish(seed, plan.to_dict())
     agg_rows = result.aggregate_rows(plan)
@@ -856,17 +864,10 @@ def _run_cell(args):
     return agg_rows, result.summary_row(plan)
 
 
-def run_ablation(plans, dataset_root, out_dir, seed, eval_split):
-    """Train and score one pipeline per plan, as cell_plans builds them.
-
-    DDMC_THREADS caps the worker processes; the default is one worker
-    per cell.  Each cell is self-contained and seeded, so results do
-    not depend on the worker count.
-    """
-    env = os.environ.get("DDMC_THREADS", "")
-    workers = int(env) if env else len(plans)
-    if workers < 1:
-        raise ValidationError("DDMC_THREADS must be >= 1, got %r" % env)
+def run_ablation(plans, dataset_root, out_dir, seed, eval_split, workers):
+    """Train and score one pipeline per plan, as cell_plans builds them,
+    in up to `workers` processes.  Each cell is self-contained and
+    seeded, so results do not depend on the worker count."""
     workers = min(workers, len(plans))
     os.makedirs(out_dir, exist_ok=True)
     jobs = [(plan, dataset_root, out_dir, seed, eval_split) for plan in plans]

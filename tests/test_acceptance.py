@@ -29,7 +29,7 @@ from ddmc.models import (ReconNet, ReconNetConfig, RegNet, RegNetConfig,
                          register_refined)
 from ddmc.objectives import (STAGES, LossWeights, parseval_collapse_check,
                              stage_loss, weighted_total)
-from ddmc.pipeline import Checkpoint, RunLog, forward_stage, train_all
+from ddmc.pipeline import Checkpoint, RunLog, forward_stage, train_stages
 
 
 @contextlib.contextmanager
@@ -294,7 +294,7 @@ def test_criterion_6_staging_and_determinism(tmp_path):
         for tag in ("a", "b"):
             out = str(tmp_path / tag)
             log = RunLog(out)
-            cks = train_all(dataset, plan, seed=7, out_dir=out, run_log=log)
+            cks = train_stages(STAGES, dataset, plan, {}, 7, out, log)
             log.finish(seed=7, config=plan.to_dict())
             outs.append(out)
 

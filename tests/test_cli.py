@@ -188,6 +188,48 @@ def test_train_stage_reads_only_the_checkpoints_it_needs(tmp_path):
                 "--stage", "reconstruction"] + FAST) == 3
 
 
+def test_stage_by_stage_train_matches_stage_all(tmp_path):
+    # a stage-by-stage chain, with its last stage rerun, writes the same
+    # checkpoints and logs each stage's rows once, exactly as one
+    # --stage all call does
+    data = tmp_path / "data"
+    assert run(["gen-data", "--out", data] + FAST) == 0
+    fused_all, fused_steps = tmp_path / "fused_all", tmp_path / "fused_steps"
+    assert run(["train", "--data", data, "--out", fused_all] + FAST) == 0
+    for stage in ("synthesis", "registration", "reconstruction",
+                  "reconstruction"):
+        assert run(["train", "--data", data, "--out", fused_steps,
+                    "--stage", stage] + FAST) == 0
+    for name in ("synthesis.ckpt", "registration.ckpt", "reconstruction.ckpt",
+                 "train_steps.csv", "val_epochs.csv"):
+        assert (fused_all / name).read_bytes() == \
+            (fused_steps / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("threads", ["abc", "0"])
+def test_bad_ddmc_threads_refuses_ablation_before_writing(
+        tmp_path, capsys, monkeypatch, threads):
+    monkeypatch.setenv("DDMC_THREADS", threads)
+    out = tmp_path / "ablate"
+    assert run(["ablate", "--data", tmp_path / "data", "--out", out,
+                "--grid", "dual,single,4x"] + FAST) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ddmc: validation:")
+    assert "DDMC_THREADS" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["not json", '{"size": 32}'])
+def test_malformed_manifest_is_io_error(tmp_path, capsys, text):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "manifest.json").write_text(text)
+    assert run(["train", "--data", data, "--out", tmp_path / "run"]
+               + FAST) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ddmc: io: malformed manifest")
+
+
 def test_ablate_no_clobber_refuses_metrics_and_cell_dirs(tmp_path, capsys):
     data = tmp_path / "data"
     assert run(["gen-data", "--out", data] + FAST) == 0
@@ -224,18 +266,6 @@ def test_train_eval_render_ablate_end_to_end(tmp_path, capsys):
     # instead of appending duplicates
     assert run(["train", "--data", data, "--out", run_dir] + single) == 0
     assert [(run_dir / name).read_bytes() for name in logs] == first
-
-    # a stage-by-stage chain, with its last stage rerun, logs each
-    # stage's rows once, exactly as one --stage all call does
-    fused_all, fused_steps = tmp_path / "fused_all", tmp_path / "fused_steps"
-    assert run(["train", "--data", data, "--out", fused_all] + FAST) == 0
-    for stage in ("synthesis", "registration", "reconstruction",
-                  "reconstruction"):
-        assert run(["train", "--data", data, "--out", fused_steps,
-                    "--stage", stage] + FAST) == 0
-    for name in logs:
-        assert (fused_all / name).read_bytes() == \
-            (fused_steps / name).read_bytes(), name
 
     eval_dir = tmp_path / "eval"
     assert run(["eval", "--data", data, "--ckpt-dir", run_dir,

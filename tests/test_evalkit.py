@@ -93,9 +93,12 @@ def test_psnr_errors():
 def test_psnr_uses_magnitudes():
     re = np.full((16, 16), 3.0)
     im = np.full((16, 16), 4.0)
-    a = ComplexImage.from_arrays(re, im)
     b = np.full((16, 16), 5.0)
-    assert psnr(a, b, full_mask(16, 16)) == PSNR_CAP
+    assert psnr(ComplexImage.from_arrays(re, im).magnitude(), b,
+                full_mask(16, 16)) == PSNR_CAP
+    # metrics take magnitudes only: a re/im stack is refused, not reduced
+    with pytest.raises(ShapeError):
+        psnr(np.stack([re, im]), b, full_mask(16, 16))
 
 
 def test_ssim_self_is_one_exactly():
@@ -179,7 +182,7 @@ def test_pgm_format_law(tmp_path):
 def test_render_report_files_and_zero_error(tmp_path):
     spec = PhantomSpec(size=32, n_structures=3, seed=0)
     recs = [gen_phantom_pair(spec, i) for i in range(2)]
-    outputs = [{"final": rec.tgt,
+    outputs = [{"final": rec.tgt.magnitude(),
                 "zero_filled": rec.tgt.magnitude() * 0.5}
                for rec in recs]
     out_dir = str(tmp_path / "report")

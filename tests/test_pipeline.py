@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import json
 import os
 from dataclasses import replace
 
@@ -18,9 +19,9 @@ from ddmc.evalkit import psnr
 from ddmc.models import RegNet, SynthNet
 from ddmc.objectives import STAGES, LossWeights
 from ddmc.pipeline import (Checkpoint, RunLog, _build_net, _record_table,
-                           cell_name, cell_plans, check_stage_order,
-                           compute_stage_inputs, evaluate, prepare_record,
-                           run_ablation, train_all, train_stage)
+                           add_stage_outputs, cell_name, cell_plans,
+                           check_stage_order, compute_stage_inputs, evaluate,
+                           prepare_record, run_ablation, train_stages)
 
 
 def tiny_plan(**kw):
@@ -46,6 +47,12 @@ def dataset(tmp_path_factory):
 def read_rows(path):
     with open(path) as f:
         return list(csv.reader(f))
+
+
+def train_one(stage, dataset, plan, seed, out_dir=None, run_log=None):
+    """Train a stage that needs no earlier checkpoint."""
+    return train_stages((stage,), dataset, plan, {}, seed, out_dir,
+                        run_log)[stage]
 
 
 def test_plan_validation():
@@ -93,22 +100,24 @@ def test_plan_to_dict_is_the_checkpoint_header_form():
                        "reconstruction": 4}}
 
 
-def test_out_of_order_raises_and_writes_nothing(dataset, tmp_path):
+def test_out_of_order_raises_and_writes_nothing(dataset, tmp_path,
+                                                monkeypatch):
+    # the stage order is checked before any record is prepared
+    monkeypatch.setattr(ddmc.pipeline, "prepare_record", None)
     out = str(tmp_path / "run")
     with pytest.raises(StageOrderError) as exc:
-        train_stage("reconstruction", dataset, tiny_plan(), out_dir=out)
+        train_one("reconstruction", dataset, tiny_plan(), 0, out_dir=out)
     assert "synthesis" in str(exc.value)
     assert not os.path.exists(out) or not os.listdir(out)
     with pytest.raises(StageOrderError):
-        train_stage("registration", dataset, tiny_plan(),
-                    checkpoints={}, out_dir=out)
+        train_one("registration", dataset, tiny_plan(), 0, out_dir=out)
 
 
 def test_bypassed_stage_rejected(dataset, tmp_path):
     plan = tiny_plan(contrast_mode="single")
     with pytest.raises(StageOrderError) as exc:
-        train_stage("synthesis", dataset, plan,
-                    out_dir=str(tmp_path / "run"))
+        train_one("synthesis", dataset, plan, 0,
+                  out_dir=str(tmp_path / "run"))
     assert "single" in str(exc.value)
 
 
@@ -134,12 +143,17 @@ def test_stage_input_rows_follow_split_order(dataset, stage, contrast_mode):
                   ("synth_image", "synth_kspace", "registration"))}
     # a nonzero last layer, so that registration moves its input
     frozen["registration"].params["fc2.w"].data[...] = 0.01
-    stacked = compute_stage_inputs(stage, plan, frozen,
-                                   _record_table(recs, plan))
+    required = plan.required_stages()
+
+    def stage_inputs(table):
+        for s in required[:required.index(stage)]:
+            add_stage_outputs(s, plan, frozen, table)
+        return compute_stage_inputs(stage, plan, table)
+
+    stacked = stage_inputs(_record_table(recs, plan))
     assert {"gt_image", "gt_kspace"} <= set(stacked)
     for i, rec in enumerate(recs):
-        alone = compute_stage_inputs(stage, plan, frozen,
-                                     one_record_table(rec, plan))
+        alone = stage_inputs(one_record_table(rec, plan))
         assert set(alone) == set(stacked)
         for name, rows in stacked.items():
             assert len(rows) == len(recs)
@@ -159,7 +173,7 @@ def test_single_domain_batches_carry_only_their_own_truth(
                             set(batch)) or forward_stage(stage, plan, nets,
                                                          batch))
     plan = tiny_plan(contrast_mode="single", domain_mode=domain_mode)
-    train_stage("reconstruction", dataset, plan, seed=0)
+    train_one("reconstruction", dataset, plan, 0)
     # two training and one validation batch per epoch
     assert len(keys) == 3 * plan.max_epochs["reconstruction"]
     for batch_keys in keys:
@@ -169,7 +183,7 @@ def test_single_domain_batches_carry_only_their_own_truth(
 
 def test_check_stage_order_prior_quality(dataset):
     plan = tiny_plan()
-    ck = train_stage("synthesis", dataset, plan, seed=1)
+    ck = train_one("synthesis", dataset, plan, 1)
     # non-finalised prior
     broken = copy.copy(ck)
     broken.finalised = False
@@ -187,7 +201,7 @@ def test_check_stage_order_prior_quality(dataset):
 def test_full_chain_and_freeze_invariance(dataset, tmp_path):
     out = str(tmp_path / "run")
     plan = tiny_plan()
-    cks = train_all(dataset, plan, seed=3, out_dir=out)
+    cks = train_stages(STAGES, dataset, plan, {}, 3, out, None)
     assert set(cks) == {"synthesis", "registration", "reconstruction"}
     for stage, ck in cks.items():
         assert ck.finalised
@@ -204,7 +218,7 @@ def test_full_chain_and_freeze_invariance(dataset, tmp_path):
 
 def test_checkpoint_roundtrip_and_tamper(dataset, tmp_path):
     plan = tiny_plan(contrast_mode="single")
-    ck = train_stage("reconstruction", dataset, plan, seed=2)
+    ck = train_one("reconstruction", dataset, plan, 2)
     path = str(tmp_path / "r.ckpt")
     ck.save(path)
     back = Checkpoint.load(path)
@@ -242,13 +256,32 @@ def test_checkpoint_of_an_older_format_is_refused_by_version(tmp_path):
     assert "checkpoint version 1, expected 2" in str(exc.value)
 
 
+def test_checkpoint_header_missing_a_field_is_refused(tmp_path):
+    path = str(tmp_path / "bad.ckpt")
+    Checkpoint(stage="reconstruction", param_sets={},
+               config=tiny_plan().to_dict(), seed=0, val_history=[],
+               finalised=True).save(path)
+    header = json.loads(open(path, "rb").read())
+    for missing in ("seed", "nets"):
+        short = {k: v for k, v in header.items() if k != missing}
+        open(path, "w").write(json.dumps(short) + "\n")
+        with pytest.raises(CheckpointIntegrityError) as exc:
+            Checkpoint.load(path)
+        assert "lacks field '%s'" % missing in str(exc.value)
+    # a header that is JSON but not an object
+    for text in ("[]", "3"):
+        open(path, "w").write(text + "\n")
+        with pytest.raises(CheckpointIntegrityError):
+            Checkpoint.load(path)
+
+
 def test_rerun_determinism(dataset, tmp_path):
     plan = tiny_plan()
     outs = []
     for tag in ("a", "b"):
         out = str(tmp_path / tag)
         log = RunLog(out)
-        train_all(dataset, plan, seed=7, out_dir=out, run_log=log)
+        train_stages(STAGES, dataset, plan, {}, 7, out, log)
         log.finish(seed=7, config=plan.to_dict())
         outs.append(out)
     for name in ("synthesis.ckpt", "registration.ckpt",
@@ -258,7 +291,6 @@ def test_rerun_determinism(dataset, tmp_path):
         b = open(os.path.join(outs[1], name), "rb").read()
         assert a == b, name
     # run.json differs only by wall clock
-    import json
     ra = json.load(open(os.path.join(outs[0], "run.json")))
     rb = json.load(open(os.path.join(outs[1], "run.json")))
     ra.pop("wall_clock_s")
@@ -268,8 +300,8 @@ def test_rerun_determinism(dataset, tmp_path):
 
 def test_seed_changes_training(dataset, tmp_path):
     plan = tiny_plan(contrast_mode="single")
-    a = train_stage("reconstruction", dataset, plan, seed=1)
-    b = train_stage("reconstruction", dataset, plan, seed=2)
+    a = train_one("reconstruction", dataset, plan, 1)
+    b = train_one("reconstruction", dataset, plan, 2)
     ha = [ps.content_hash() for ps in a.param_sets.values()]
     hb = [ps.content_hash() for ps in b.param_sets.values()]
     assert ha != hb
@@ -278,7 +310,7 @@ def test_seed_changes_training(dataset, tmp_path):
 def test_early_stop_keeps_best_epoch(dataset):
     plan = tiny_plan(contrast_mode="single",
                      max_epochs={s: 6 for s in STAGES})
-    ck = train_stage("reconstruction", dataset, plan, seed=4)
+    ck = train_one("reconstruction", dataset, plan, 4)
     vals = ck.val_history
     assert len(vals) >= 1
     best = min(vals)
@@ -304,9 +336,9 @@ def test_nonfinite_loss_fails_loudly(dataset, tmp_path, monkeypatch, split,
                         lambda *a: steps.append(1) or adam_step(*a))
     out = str(tmp_path / "run")
     with pytest.raises(NonFiniteLossError) as exc:
-        train_stage("reconstruction", ds,
-                    tiny_plan(contrast_mode="single", domain_mode="image"),
-                    seed=0, out_dir=out, run_log=RunLog(out))
+        train_one("reconstruction", ds,
+                  tiny_plan(contrast_mode="single", domain_mode="image"),
+                  0, out_dir=out, run_log=RunLog(out))
     assert ("stage 'reconstruction', epoch 0, step %d: %s loss is nan"
             % (step, kind)) == str(exc.value)
     # the failing step took no optimiser step and logged no row
@@ -320,7 +352,7 @@ def test_full_sampling_reconstructs_exactly(dataset):
     # acceleration 1 keeps every k-space row, so data consistency
     # returns the ground truth regardless of the network
     plan = tiny_plan(contrast_mode="single", accel=1)
-    ck = train_stage("reconstruction", dataset, plan, seed=0)
+    ck = train_one("reconstruction", dataset, plan, 0)
     res = evaluate({"reconstruction": ck}, dataset, "test", plan)
     for row in res.per_record:
         if row["stage"] == "reconstruction" and row["branch"] == "image":
@@ -330,7 +362,7 @@ def test_full_sampling_reconstructs_exactly(dataset):
 
 def test_evaluate_with_outputs_panels(dataset):
     plan = tiny_plan(contrast_mode="single")
-    ck = train_stage("reconstruction", dataset, plan, seed=5)
+    ck = train_one("reconstruction", dataset, plan, 5)
     res = evaluate({"reconstruction": ck}, dataset, "test", plan,
                    with_outputs=True)
     assert res.outputs
@@ -342,8 +374,8 @@ def test_evaluate_with_outputs_panels(dataset):
 @pytest.mark.parametrize("domain_mode", ["kspace", "dual"])
 def test_fused_eval_panels_show_the_scored_estimates(dataset, domain_mode):
     plan = tiny_plan(domain_mode=domain_mode)
-    res = evaluate(train_all(dataset, plan, seed=6), dataset, "test", plan,
-                   with_outputs=True)
+    res = evaluate(train_stages(STAGES, dataset, plan, {}, 6, None, None),
+                   dataset, "test", plan, with_outputs=True)
     # panel -> the (stage, branch) whose per-record row scores it
     first = plan.branches()[0]
     shown = {s: (s, first)
@@ -362,15 +394,42 @@ def test_fused_eval_panels_show_the_scored_estimates(dataset, domain_mode):
                 scores[rec.record_id, stage, branch], name
 
 
-def test_fused_evaluate_computes_each_result_once(dataset, monkeypatch):
-    plan = tiny_plan(reg_refine_iters=2)
-    checkpoints = train_all(dataset, plan, seed=3)
+def count_frozen_calls(monkeypatch):
+    """Calls from here on to SynthNet and RegNet nets whose parameters
+    are frozen."""
     calls = {SynthNet: 0, RegNet: 0}
     for cls in calls:
         def counted(self, *args, _cls=cls, _orig=cls.__call__):
-            calls[_cls] += 1
+            if not any(t.requires_grad for _, t in self.params.items()):
+                calls[_cls] += 1
             return _orig(self, *args)
         monkeypatch.setattr(cls, "__call__", counted)
+    return calls
+
+
+def test_fused_train_stages_computes_each_result_once(dataset, monkeypatch):
+    plan = tiny_plan(reg_refine_iters=2)
+    prepared = []
+    prepare = ddmc.pipeline.prepare_record
+    monkeypatch.setattr(ddmc.pipeline, "prepare_record",
+                        lambda rec, plan: prepared.append(rec.record_id)
+                        or prepare(rec, plan))
+    calls = count_frozen_calls(monkeypatch)
+    train_stages(STAGES, dataset, plan, {}, 3, None, None)
+    # each train and val record is prepared once
+    recs = dataset.split("train") + dataset.split("val")
+    assert sorted(prepared) == sorted(r.record_id for r in recs)
+    # per branch per chunk of train or val: the moved reference's
+    # synthesis, then its registration
+    n_branches, n_chunks = 2, 2
+    assert calls[SynthNet] == n_branches * n_chunks
+    assert calls[RegNet] == plan.reg_refine_iters * n_branches * n_chunks
+
+
+def test_fused_evaluate_computes_each_result_once(dataset, monkeypatch):
+    plan = tiny_plan(reg_refine_iters=2)
+    checkpoints = train_stages(STAGES, dataset, plan, {}, 3, None, None)
+    calls = count_frozen_calls(monkeypatch)
     evaluate(checkpoints, dataset, "test", plan)
     n_branches, n_chunks = 2, 1
     assert calls[RegNet] == plan.reg_refine_iters * n_branches * n_chunks
@@ -387,7 +446,7 @@ def test_evaluate_missing_checkpoint_raises(dataset):
 
 def test_evaluate_checks_each_checkpoint(dataset):
     plan = tiny_plan(contrast_mode="single")
-    ck = train_stage("reconstruction", dataset, plan, seed=0)
+    ck = train_one("reconstruction", dataset, plan, 0)
     for field, value in (("finalised", False), ("stage", "synthesis"),
                          ("config", tiny_plan().to_dict())):
         bad = copy.copy(ck)
@@ -416,7 +475,7 @@ def test_cell_plans():
         cell_plans(base, [("single", "dual", 4), ("single", "dual", 16)])
 
 
-def test_cell_name_and_ablation(tmp_path, monkeypatch):
+def test_cell_name_and_ablation(tmp_path):
     assert cell_name(tiny_plan()) == "fused-dual-4x"
     ds_root = str(tmp_path / "ds")
     build_dataset(ds_root, n_train=4, n_val=2, n_test=2, size=32,
@@ -424,7 +483,7 @@ def test_cell_name_and_ablation(tmp_path, monkeypatch):
     out = str(tmp_path / "ab")
     plans = cell_plans(tiny_plan(contrast_mode="single"),
                        [("single", "dual", 4), ("concat", "dual", 4)])
-    run_ablation(plans, ds_root, out, 0, "test")
+    run_ablation(plans, ds_root, out, 0, "test", len(plans))
     summary = read_rows(os.path.join(out, "summary.csv"))
     assert len(summary) == 3
     assert summary[1][0] == "single-dual-4x"
@@ -433,9 +492,8 @@ def test_cell_name_and_ablation(tmp_path, monkeypatch):
         assert os.path.exists(os.path.join(out, cid, "metrics.csv"))
 
     # one worker process gives the same bytes as one worker per cell
-    monkeypatch.setenv("DDMC_THREADS", "1")
     serial = str(tmp_path / "ab_serial")
-    run_ablation(plans, ds_root, serial, 0, "test")
+    run_ablation(plans, ds_root, serial, 0, "test", 1)
     compared = 0
     for sub in ("", "single-dual-4x", "concat-dual-4x"):
         names = sorted(os.listdir(os.path.join(out, sub)))
