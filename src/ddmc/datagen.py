@@ -8,6 +8,7 @@ any record can be regenerated in isolation.
 """
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -17,11 +18,12 @@ from scipy.ndimage import gaussian_filter
 from .errors import (BadMagicError, RecordFormatError, TruncatedFileError,
                      ValidationError, VersionMismatchError)
 from .fourier import ComplexImage
-from .geometry import RigidParams
 from .kernels import warp_forward
 
 RECORD_MAGIC = b"DDMR"
 RECORD_VERSION = 1
+# header keys of a record's true_motion, in row order
+_MOTION_KEYS = ("tx", "ty", "theta")
 
 # Intensity per tissue class (index 0 is background).  The two tables
 # invert bright/dark ordering between contrasts, like T1w against T2w.
@@ -55,7 +57,7 @@ class ContrastPairRecord:
     ref_aligned: ComplexImage
     tgt: ComplexImage
     ref_moved: ComplexImage
-    true_motion: RigidParams
+    true_motion: np.ndarray      # float64 (3,): tx, ty px; theta rad
     brain_mask: np.ndarray       # bool [H, W]
 
 
@@ -122,7 +124,7 @@ def gen_phantom_pair(spec, record_id):
         ref_aligned=ComplexImage.from_arrays(ref),
         tgt=ComplexImage.from_arrays(tgt),
         ref_moved=ComplexImage.from_arrays(ref.copy()),
-        true_motion=RigidParams.identity(),
+        true_motion=np.zeros(3),
         brain_mask=mask,
     )
 
@@ -134,18 +136,17 @@ def augment_motion(rec, rot_range, trans_range, mm_per_px, seed):
     converts the translation to pixels so the same physical motion
     scales across grid sizes.  The target image is untouched.
     """
-    if rot_range < 0 or trans_range < 0 or mm_per_px <= 0:
-        raise ValidationError("motion ranges must be >= 0 and mm_per_px > 0")
+    if not (0 <= rot_range < math.inf and 0 <= trans_range < math.inf
+            and 0 < mm_per_px < math.inf):
+        raise ValidationError("motion ranges must be finite and >= 0 and "
+                              "mm_per_px finite and > 0, got %r, %r, %r"
+                              % (rot_range, trans_range, mm_per_px))
     rng = np.random.default_rng(np.random.SeedSequence([seed, rec.record_id]))
     t_px = trans_range / mm_per_px
-    motion = RigidParams(
-        tx=float(rng.uniform(-t_px, t_px)),
-        ty=float(rng.uniform(-t_px, t_px)),
-        theta=float(np.deg2rad(rng.uniform(-rot_range, rot_range))),
-    )
-    p = motion.as_array(np.float32)
+    motion = np.array([rng.uniform(-t_px, t_px), rng.uniform(-t_px, t_px),
+                       np.deg2rad(rng.uniform(-rot_range, rot_range))])
     re, im = warp_forward(rec.ref_aligned.channels()[None],
-                          p[:1], p[1:2], p[2:])[0]
+                          motion[None].astype(np.float32))[0]
     return replace(rec, ref_moved=ComplexImage.from_arrays(re, im),
                    true_motion=motion)
 
@@ -160,8 +161,7 @@ def write_record(rec, path):
         "seed": rec.seed,
         "height": h,
         "width": w,
-        "true_motion": {"tx": rec.true_motion.tx, "ty": rec.true_motion.ty,
-                        "theta": rec.true_motion.theta},
+        "true_motion": dict(zip(_MOTION_KEYS, map(float, rec.true_motion))),
     }
     hb = json.dumps(header, sort_keys=True).encode("utf-8")
     out = bytearray(RECORD_MAGIC)
@@ -197,8 +197,24 @@ def read_record(path):
         raise VersionMismatchError("record version %d, expected %d"
                                    % (version, RECORD_VERSION))
     hlen, = struct.unpack("<I", take(4, "header length"))
-    header = json.loads(take(hlen, "header").decode("utf-8"))
-    h, w = header["height"], header["width"]
+    try:
+        header = json.loads(take(hlen, "header").decode("utf-8"))
+        record_id, seed = header["record_id"], header["seed"]
+        h, w = header["height"], header["width"]
+        motion = np.array([header["true_motion"][k] for k in _MOTION_KEYS],
+                          dtype=np.float64)
+    except KeyError as e:
+        raise RecordFormatError("header of %s lacks field %s"
+                                % (path, e)) from e
+    except (ValueError, TypeError) as e:
+        raise RecordFormatError("malformed header in %s: %s"
+                                % (path, e)) from e
+    if not (isinstance(h, int) and isinstance(w, int) and h > 0 and w > 0):
+        raise RecordFormatError("bad height %r or width %r in %s"
+                                % (h, w, path))
+    if not np.isfinite(motion).all():
+        raise RecordFormatError("non-finite true_motion %s in %s"
+                                % (motion, path))
     planes = []
     for name in ("ref_aligned.re", "ref_aligned.im", "tgt.re", "tgt.im",
                  "ref_moved.re", "ref_moved.im"):
@@ -208,14 +224,13 @@ def read_record(path):
     if offset != len(buf):
         raise TruncatedFileError("%d trailing bytes in %s"
                                  % (len(buf) - offset, path))
-    tm = header["true_motion"]
     return ContrastPairRecord(
-        record_id=header["record_id"],
-        seed=header["seed"],
+        record_id=record_id,
+        seed=seed,
         ref_aligned=ComplexImage.from_arrays(planes[0], planes[1]),
         tgt=ComplexImage.from_arrays(planes[2], planes[3]),
         ref_moved=ComplexImage.from_arrays(planes[4], planes[5]),
-        true_motion=RigidParams(tm["tx"], tm["ty"], tm["theta"]),
+        true_motion=motion,
         brain_mask=mask.reshape(h, w).astype(bool),
     )
 

@@ -400,17 +400,13 @@ def warp_rigid(x, params):
         raise ShapeError("warp_rigid: params shape %s != (%d, 3)"
                          % (params.shape, x.shape[0]))
     p = params.data.astype(x.data.dtype, copy=False)
-    tx = np.ascontiguousarray(p[:, 0])
-    ty = np.ascontiguousarray(p[:, 1])
-    th = np.ascontiguousarray(p[:, 2])
-    y = K.warp_forward(x.data, tx, ty, th)
+    y = K.warp_forward(x.data, p)
 
     def bwd(g):
-        gx, gtx, gty, gth = K.warp_backward(
-            x.data, tx, ty, th, g, need_input_grad=x.requires_grad)
+        gx, gp = K.warp_backward(x.data, p, g,
+                                 need_input_grad=x.requires_grad)
         if x.requires_grad:
             _accum(x, gx)
         if params.requires_grad:
-            gp = np.stack([gtx, gty, gth], axis=1).astype(params.data.dtype)
-            _accum(params, gp)
+            _accum(params, gp.astype(params.data.dtype, copy=False))
     return _result(y, (x, params), bwd)

@@ -1,4 +1,4 @@
-"""Rigid 2-D motion: parameters and algebra.
+"""Rigid 2-D motion algebra on [N, 3] rows.
 
 A rigid transform is (tx, ty, theta): translation in pixels along the
 x (column) and y (row) axes plus rotation in radians about the image
@@ -9,39 +9,12 @@ image by resampling along the backward map src = R(-theta) (dst - c - t)
     compose(p1, p2): theta = theta1 + theta2, t = R(theta2) t1 + t2
     invert(p):       theta' = -theta,         t' = -R(-theta) t
 
-compose and invert work on [N, 3] arrays of (tx, ty, theta) rows, the
-form the registration net predicts.
+Every transform in the package is such a row, or an [N, 3] stack of
+them: the registration net's predictions, the warp kernels' parameters
+and a record's true_motion.
 """
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
-
-from .errors import ValidationError
-
-
-@dataclass(frozen=True)
-class RigidParams:
-    """One rigid transform: pixels, pixels, radians."""
-
-    tx: float
-    ty: float
-    theta: float
-
-    def __post_init__(self):
-        for name in ("tx", "ty", "theta"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValidationError("rigid parameter %s is not finite: %r"
-                                      % (name, v))
-
-    @classmethod
-    def identity(cls):
-        return cls(0.0, 0.0, 0.0)
-
-    def as_array(self, dtype=np.float64):
-        return np.array([self.tx, self.ty, self.theta], dtype=dtype)
 
 
 def invert(p):

@@ -155,9 +155,15 @@ def maxpool2x2_backward(gy, idx, h, w):
     return gx
 
 
-def _sample_coords(h, w, tx, ty, theta, dtype):
-    # Backward map: src = R(-theta) (dst - c - t) + c, coords are (x, y)
-    # with x along columns, y along rows, centre c = ((W-1)/2, (H-1)/2).
+def _sample_coords(h, w, p, dtype):
+    """Source points (sx, sy) [N, H, W] of every output pixel under the
+    [N, 3] rows p, with the centre (cx, cy) and cos / sin theta [N]
+    they were computed from.
+
+    Backward map: src = R(-theta) (dst - c - t) + c, coords are (x, y)
+    with x along columns, y along rows, centre c = ((W-1)/2, (H-1)/2).
+    """
+    tx, ty, theta = p[:, 0], p[:, 1], p[:, 2]
     cx = dtype((w - 1) / 2.0)
     cy = dtype((h - 1) / 2.0)
     cth = np.cos(theta).astype(dtype)
@@ -168,7 +174,7 @@ def _sample_coords(h, w, tx, ty, theta, dtype):
     bb = yd[None] - cy - ty[:, None, None].astype(dtype)
     sx = cth[:, None, None] * a + sth[:, None, None] * bb + cx
     sy = -sth[:, None, None] * a + cth[:, None, None] * bb + cy
-    return sx, sy
+    return sx, sy, cx, cy, cth, sth
 
 
 def _corners(sx, sy, shape):
@@ -202,17 +208,19 @@ def _channel_sum(a):
     return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).sum(axis=-1)
 
 
-def warp_forward(x, tx, ty, theta):
-    """Rigid warp of [N, C, H, W] by per-sample (tx, ty, theta).
+def warp_forward(x, p):
+    """Rigid warp of [N, C, H, W] by the [N, 3] rows p of per-sample
+    (tx, ty, theta).
 
     Bilinear sampling with zero fill outside the source frame.
     """
     if x.ndim != 4:
         raise ShapeError("warp expects x[N,C,H,W], got %s" % (x.shape,))
     n, c, h, w = x.shape
-    if not (tx.shape == ty.shape == theta.shape == (n,)):
-        raise ShapeError("warp params must be three [N]=[%d] vectors" % n)
-    sx, sy = _sample_coords(h, w, tx, ty, theta, x.dtype.type)
+    if p.shape != (n, 3):
+        raise ShapeError("warp params must be [N, 3] = [%d, 3] rows, got %s"
+                         % (n, p.shape))
+    sx, sy = _sample_coords(h, w, p, x.dtype.type)[:2]
     fx, fy, taps = _corners(sx, sy, x.shape)
     wgt = [(1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy]
     flat = x.ravel()
@@ -222,18 +230,13 @@ def warp_forward(x, tx, ty, theta):
     return out
 
 
-def warp_backward(x, tx, ty, theta, gy, need_input_grad=True):
+def warp_backward(x, p, gy, need_input_grad=True):
     """Gradients of warp_forward w.r.t. input and per-sample params.
 
-    Returns (gx or None, gtx, gty, gtheta).
+    Returns (gx or None, gp), gp the [N, 3] gradient of the rows p.
     """
     n, c, h, w = x.shape
-    dtype = x.dtype.type
-    cx = dtype((w - 1) / 2.0)
-    cy = dtype((h - 1) / 2.0)
-    cth = np.cos(theta).astype(dtype)
-    sth = np.sin(theta).astype(dtype)
-    sx, sy = _sample_coords(h, w, tx, ty, theta, dtype)
+    sx, sy, cx, cy, cth, sth = _sample_coords(h, w, p, x.dtype.type)
     fx, fy, taps = _corners(sx, sy, x.shape)
     flat = x.ravel()
     # corner values, zero outside the frame
@@ -257,7 +260,7 @@ def warp_backward(x, tx, ty, theta, gy, need_input_grad=True):
         wgt = [(1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy]
         for wc, (ins, pix) in zip(wgt, taps):
             np.add.at(gx.ravel(), pix, (wc * ins)[:, None] * gy)
-    return gx, gtx.astype(x.dtype), gty.astype(x.dtype), gth.astype(x.dtype)
+    return gx, np.stack([gtx, gty, gth], axis=1).astype(x.dtype)
 
 
 def upsample2x_forward(x):

@@ -251,8 +251,7 @@ def register_refined(net, moving, fixed, n_iters=3):
         return net(Tensor(m), fixed_t).data.astype(np.float64)
 
     def warp_by(p):
-        p = p.astype(moving.dtype)
-        return warp_forward(moving, p[:, 0], p[:, 1], p[:, 2])
+        return warp_forward(moving, p.astype(moving.dtype))
 
     est = predict(moving)
     for _ in range(n_iters - 1):

@@ -222,17 +222,20 @@ def test_criterion_4_registration_recovery(tmp_path):
         rot, tra = np.radians(10.0), 5.0
 
         def sample_motion(rng, n):
-            return (rng.uniform(-tra, tra, n).astype(np.float32),
-                    rng.uniform(-tra, tra, n).astype(np.float32),
-                    rng.uniform(-rot, rot, n).astype(np.float32))
+            """[n, 3] float32 rows (tx, ty, theta)."""
+            return np.stack([rng.uniform(-tra, tra, n),
+                             rng.uniform(-tra, tra, n),
+                             rng.uniform(-rot, rot, n)],
+                            axis=1).astype(np.float32)
 
         fix_tr = planes(ds.split("train"))
         fix_te = planes(ds.split("test"))
         assert len(fix_te) >= 50
 
         rng_te = np.random.default_rng(77)
-        tx, ty, th = sample_motion(rng_te, len(fix_te))
-        mov_te = warp_forward(fix_te, tx, ty, th)
+        motion_te = sample_motion(rng_te, len(fix_te))
+        mov_te = warp_forward(fix_te, motion_te)
+        tx, ty, th = motion_te.T
         # the estimate aligning moving back to fixed is the inverse motion
         c, s = np.cos(-th), np.sin(-th)
         want = np.stack([-(c * tx - s * ty), -(s * tx + c * ty), -th], 1)
@@ -247,8 +250,7 @@ def test_criterion_4_registration_recovery(tmp_path):
             for _ in range(epochs):
                 rng = np.random.default_rng(
                     np.random.SeedSequence([9, ep_total]))
-                mtx, mty, mth = sample_motion(rng, n)
-                mov = warp_forward(fix_tr, mtx, mty, mth)
+                mov = warp_forward(fix_tr, sample_motion(rng, n))
                 order = rng.permutation(n)
                 for i in range(0, n, 8):
                     ids = order[i:i + 8]

@@ -12,7 +12,6 @@ from ddmc.datagen import ContrastPairRecord
 from ddmc.diffcore import Tensor, concat_channels, grad_check, mse
 from ddmc.errors import MaskBudgetError, ShapeError, ValidationError
 from ddmc.fourier import ComplexImage, fft2c_stack, ifft2c_stack
-from ddmc.geometry import RigidParams
 from ddmc.pipeline import prepare_record
 
 
@@ -39,7 +38,7 @@ def prepared(rng, h, w, accel, n_center=6):
                                    rng.standard_normal((h, w)))
     rec = ContrastPairRecord(record_id=0, seed=0, ref_aligned=img, tgt=img,
                              ref_moved=img,
-                             true_motion=RigidParams.identity(),
+                             true_motion=np.zeros(3),
                              brain_mask=np.ones((h, w), dtype=bool))
     plan = replace(default_config().stage_plan(), contrast_mode="single",
                    accel=accel, n_center=n_center, image_size=h)

@@ -2,11 +2,17 @@
 
 import csv
 import filecmp
+import json
 import os
+import struct
+import subprocess
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import ddmc
 from ddmc.cli import _parse_grid, main
 from ddmc.datagen import Dataset, record_path, write_record
 from ddmc.errors import ValidationError
@@ -206,6 +212,37 @@ def test_stage_by_stage_train_matches_stage_all(tmp_path):
             (fused_steps / name).read_bytes(), name
 
 
+def test_blas_thread_count_changes_no_output(tmp_path):
+    # train --stage all and eval write the same checkpoint and CSV bytes
+    # whether OpenBLAS runs one thread or two
+    data = tmp_path / "data"
+    assert run(["gen-data", "--out", data] + FAST) == 0
+    src = os.path.dirname(os.path.dirname(ddmc.__file__))
+    cfg = FAST + ["--set", "train.max_epochs=1",
+                  "--set", "train.contrast_mode=fused",
+                  "--set", "train.domain_mode=dual"]
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        out = tmp_path / ("threads" + threads)
+        for argv in (["train", "--data", data, "--out", out / "train",
+                      "--stage", "all"],
+                     ["eval", "--data", data, "--ckpt-dir", out / "train",
+                      "--out", out / "eval"]):
+            subprocess.run([sys.executable, "-m", "ddmc.cli"]
+                           + [str(a) for a in argv + cfg],
+                           env=env, check=True, stdout=subprocess.DEVNULL)
+        outs.append(out)
+    names = [sorted(p.relative_to(out) for p in out.rglob("*")
+                    if p.suffix in (".ckpt", ".csv")) for out in outs]
+    assert names[0] == names[1]
+    assert sum(n.suffix == ".ckpt" for n in names[0]) == 3
+    assert sum(n.suffix == ".csv" for n in names[0]) >= 4
+    for name in names[0]:
+        assert (outs[0] / name).read_bytes() == \
+            (outs[1] / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("threads", ["abc", "0"])
 def test_bad_ddmc_threads_refuses_ablation_before_writing(
         tmp_path, capsys, monkeypatch, threads):
@@ -228,6 +265,32 @@ def test_malformed_manifest_is_io_error(tmp_path, capsys, text):
                + FAST) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("ddmc: io: malformed manifest")
+
+
+def test_malformed_record_header_is_io_error(tmp_path, capsys):
+    # a record header that is not JSON, lacks true_motion, or holds a
+    # NaN true_motion
+    data = tmp_path / "data"
+    assert run(["gen-data", "--out", data] + FAST) == 0
+    path = record_path(str(data), 0)
+    raw = open(path, "rb").read()
+    hlen, = struct.unpack("<I", raw[6:10])
+    header = json.loads(raw[10:10 + hlen])
+    del header["true_motion"]
+    bodies = [raw[:6] + struct.pack("<I", len(hb)) + hb + raw[10 + hlen:]
+              for hb in (b"not json", json.dumps(header).encode())]
+    rec = Dataset.load(str(data)).records[0]
+    write_record(replace(rec, true_motion=np.array([np.nan, 0.0, 0.0])),
+                 path)
+    bodies.append(open(path, "rb").read())
+    for body in bodies:
+        with open(path, "wb") as f:
+            f.write(body)
+        capsys.readouterr()
+        assert run(["train", "--data", data, "--out", tmp_path / "run"]
+                   + FAST) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ddmc: io:"), err
 
 
 def test_ablate_no_clobber_refuses_metrics_and_cell_dirs(tmp_path, capsys):

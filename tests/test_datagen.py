@@ -1,6 +1,8 @@
 """Phantom generation, motion augmentation, and the record format."""
 
+import json
 import struct
+from math import inf, nan
 
 import numpy as np
 import pytest
@@ -11,9 +13,9 @@ from ddmc.datagen import (REF_INTENSITIES, TGT_INTENSITIES, Dataset,
                           build_dataset, gen_phantom_pair,
                           phantom_class_map, read_record, record_path,
                           write_record)
-from ddmc.errors import (BadMagicError, TruncatedFileError, ValidationError,
-                         VersionMismatchError)
-from ddmc.geometry import RigidParams, invert
+from ddmc.errors import (BadMagicError, RecordFormatError, TruncatedFileError,
+                         ValidationError, VersionMismatchError)
+from ddmc.geometry import invert
 from ddmc.kernels import warp_forward
 
 SPEC = PhantomSpec(size=64, n_structures=6, blur_sigma=0.7, seed=3)
@@ -25,7 +27,7 @@ def records_equal(a, b):
         if not (np.array_equal(ia.real.data, ib.real.data)
                 and np.array_equal(ia.imag.data, ib.imag.data)):
             return False
-    return (a.true_motion == b.true_motion
+    return (np.array_equal(a.true_motion, b.true_motion)
             and np.array_equal(a.brain_mask, b.brain_mask)
             and a.record_id == b.record_id and a.seed == b.seed)
 
@@ -82,7 +84,7 @@ def test_spec_validation():
 def test_augment_zero_ranges_identity():
     rec = gen_phantom_pair(SPEC, 2)
     out = augment_motion(rec, 0.0, 0.0, 3.0, seed=5)
-    assert out.true_motion == RigidParams.identity()
+    assert np.array_equal(out.true_motion, np.zeros(3))
     assert np.array_equal(out.ref_moved.real.data, rec.ref_aligned.real.data)
 
 
@@ -92,16 +94,17 @@ def test_augment_bounds_over_many_draws():
     t_px = trans / mmpp
     for seed in range(200):
         m = augment_motion(rec, rot, trans, mmpp, seed=seed).true_motion
-        assert abs(m.tx) <= t_px and abs(m.ty) <= t_px
-        assert abs(np.degrees(m.theta)) <= rot
+        assert m.shape == (3,) and m.dtype == np.float64
+        tx, ty, theta = m
+        assert abs(tx) <= t_px and abs(ty) <= t_px
+        assert abs(np.degrees(theta)) <= rot
 
 
 def test_augment_inverse_warp_recovers_reference():
     rec = gen_phantom_pair(SPEC, 4)
     moved = augment_motion(rec, 10.0, 15.0, 3.0, seed=11)
-    undo = invert(moved.true_motion.as_array()[None])[0].astype(np.float32)
-    back = warp_forward(moved.ref_moved.channels()[None],
-                        undo[:1], undo[1:2], undo[2:])[0]
+    undo = invert(moved.true_motion[None]).astype(np.float32)
+    back = warp_forward(moved.ref_moved.channels()[None], undo)[0]
     core = binary_erosion(rec.brain_mask, iterations=3)
     err = (back[0] - rec.ref_aligned.real.data)[core]
     assert float((err ** 2).mean()) < 1e-3
@@ -121,6 +124,10 @@ def test_augment_validation():
         augment_motion(rec, -1.0, 15.0, 3.0, seed=0)
     with pytest.raises(ValidationError):
         augment_motion(rec, 10.0, 15.0, 0.0, seed=0)
+    for bad in ((nan, 15.0, 3.0), (inf, 15.0, 3.0), (10.0, inf, 3.0),
+                (10.0, nan, 3.0), (10.0, 15.0, nan), (10.0, 15.0, inf)):
+        with pytest.raises(ValidationError):
+            augment_motion(rec, *bad, seed=0)
 
 
 def test_record_roundtrip_bit_exact(tmp_path):
@@ -156,6 +163,23 @@ def test_record_corruption_errors(tmp_path):
         f.write(raw + b"\x00" * 8)
     with pytest.raises(TruncatedFileError):
         read_record(bad)
+
+    # the header: not JSON, a key missing, a non-finite motion, a size
+    # that is not a positive integer
+    hlen, = struct.unpack("<I", raw[6:10])
+    header = json.loads(raw[10:10 + hlen])
+    no_motion = {k: v for k, v in header.items() if k != "true_motion"}
+    nan_tx = dict(header, true_motion=dict(header["true_motion"], tx=nan))
+    inf_theta = dict(header,
+                     true_motion=dict(header["true_motion"], theta=-inf))
+    for hb in [b"not json"] + [json.dumps(h).encode() for h in (
+            no_motion, nan_tx, inf_theta, dict(header, height="64"),
+            dict(header, width=64.0), dict(header, height=0))]:
+        with open(bad, "wb") as f:
+            f.write(raw[:6] + struct.pack("<I", len(hb)) + hb
+                    + raw[10 + hlen:])
+        with pytest.raises(RecordFormatError):
+            read_record(bad)
 
 
 def test_build_dataset_splits_and_determinism(tmp_path):

@@ -241,9 +241,16 @@ def test_conv2d_slabs_stay_within_budget(monkeypatch, ci):
 def test_warp_identity_is_exact():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((2, 2, 8, 8)).astype(np.float32)
-    z = np.zeros(2, np.float32)
-    out = warp_forward(x, z, z, z)
+    out = warp_forward(x, np.zeros((2, 3), np.float32))
     assert np.array_equal(out, x)
+
+
+def test_warp_rejects_params_not_n_by_3():
+    x = np.zeros((2, 1, 4, 4), np.float32)
+    for p in (np.zeros(2, np.float32), np.zeros((3, 2), np.float32),
+              np.zeros((1, 3), np.float32)):
+        with pytest.raises(ShapeError):
+            warp_forward(x, p)
 
 
 def test_warp_quarter_turn_permutes_indices():
@@ -251,9 +258,7 @@ def test_warp_quarter_turn_permutes_indices():
     h = 9
     rng = np.random.default_rng(4)
     x = rng.standard_normal((1, 1, h, h)).astype(np.float64)
-    th = np.array([np.pi / 2])
-    z = np.zeros(1)
-    out = warp_forward(x, z, z, th)
+    out = warp_forward(x, np.array([[0.0, 0.0, np.pi / 2]]))
     want = np.zeros_like(x)
     for i in range(h):
         for j in range(h):
@@ -264,9 +269,7 @@ def test_warp_quarter_turn_permutes_indices():
 def test_warp_integer_translation_shifts_rows():
     x = np.zeros((1, 1, 6, 6), np.float32)
     x[0, 0, 2, 3] = 1.0
-    out = warp_forward(x, np.array([1.0], np.float32),
-                       np.array([2.0], np.float32),
-                       np.zeros(1, np.float32))
+    out = warp_forward(x, np.array([[1.0, 2.0, 0.0]], np.float32))
     # sampling at (x - tx, y - ty): content moves by (+tx, +ty)
     assert out[0, 0, 4, 4] == 1.0
     assert out.sum() == 1.0
@@ -274,48 +277,40 @@ def test_warp_integer_translation_shifts_rows():
 
 def test_warp_out_of_frame_is_zero():
     x = np.ones((1, 1, 4, 4), np.float32)
-    out = warp_forward(x, np.array([10.0], np.float32),
-                       np.zeros(1, np.float32), np.zeros(1, np.float32))
+    out = warp_forward(x, np.array([[10.0, 0.0, 0.0]], np.float32))
     assert np.all(out == 0.0)
 
 
 def test_warp_param_gradients_match_finite_differences():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((2, 2, 8, 8))
-    tx = np.array([0.3, -1.2])
-    ty = np.array([-0.7, 0.4])
-    th = np.array([0.2, -0.35])
+    # rows (tx, ty, theta)
+    p = np.array([[0.3, -0.7, 0.2], [-1.2, 0.4, -0.35]])
     gy = rng.standard_normal(x.shape)
 
-    gx, gtx, gty, gth = warp_backward(x, tx, ty, th, gy,
-                                      need_input_grad=True)
+    gx, gp = warp_backward(x, p, gy, need_input_grad=True)
+    assert gp.shape == (2, 3)
 
-    def loss(a, b, c):
-        return np.sum(warp_forward(x, a, b, c) * gy)
+    def loss(q):
+        return np.sum(warp_forward(x, q) * gy)
 
     eps = 1e-6
     for n in range(2):
-        for arr, grad in ((tx, gtx), (ty, gty), (th, gth)):
-            hi = arr.astype(np.float64).copy()
-            lo = arr.astype(np.float64).copy()
-            hi[n] += eps
-            lo[n] -= eps
-            args = {id(tx): tx, id(ty): ty, id(th): th}
-            up = dict(args)
-            dn = dict(args)
-            up[id(arr)] = hi
-            dn[id(arr)] = lo
-            fd = (loss(up[id(tx)], up[id(ty)], up[id(th)])
-                  - loss(dn[id(tx)], dn[id(ty)], dn[id(th)])) / (2 * eps)
-            assert abs(grad[n] - fd) < 1e-5 * max(1.0, abs(fd))
+        for k in range(3):
+            hi = p.copy()
+            lo = p.copy()
+            hi[n, k] += eps
+            lo[n, k] -= eps
+            fd = (loss(hi) - loss(lo)) / (2 * eps)
+            assert abs(gp[n, k] - fd) < 1e-5 * max(1.0, abs(fd))
     # input gradient via central differences at a few coordinates
     for idx in [(0, 0, 2, 3), (1, 1, 5, 5)]:
         xp = x.copy()
         xm = x.copy()
         xp[idx] += eps
         xm[idx] -= eps
-        fd = (np.sum(warp_forward(xp, tx, ty, th) * gy)
-              - np.sum(warp_forward(xm, tx, ty, th) * gy)) / (2 * eps)
+        fd = (np.sum(warp_forward(xp, p) * gy)
+              - np.sum(warp_forward(xm, p) * gy)) / (2 * eps)
         assert abs(gx[idx] - fd) < 1e-5 * max(1.0, abs(fd))
 
 
@@ -325,14 +320,12 @@ def test_warp_input_gradient_is_the_adjoint():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((2, 3, 9, 8))
     gy = rng.standard_normal(x.shape)
-    tx = np.array([1.3, -2.6])
-    ty = np.array([-0.4, 3.1])
-    th = np.array([0.5, -1.1])
-    gx = warp_backward(x, tx, ty, th, gy, need_input_grad=True)[0]
-    lhs = np.sum(warp_forward(x, tx, ty, th) * gy)
+    p = np.array([[1.3, -0.4, 0.5], [-2.6, 3.1, -1.1]])
+    gx = warp_backward(x, p, gy, need_input_grad=True)[0]
+    lhs = np.sum(warp_forward(x, p) * gy)
     assert gx.shape == x.shape
     assert abs(lhs - np.sum(x * gx)) < 1e-10 * max(1.0, abs(lhs))
-    assert warp_backward(x, tx, ty, th, gy, need_input_grad=False)[0] is None
+    assert warp_backward(x, p, gy, need_input_grad=False)[0] is None
 
 
 def test_warp_treats_channels_independently():
@@ -341,19 +334,15 @@ def test_warp_treats_channels_independently():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((2, 5, 8, 8))
     gy = rng.standard_normal(x.shape)
-    tx, ty, th = np.array([0.6, -1.4]), np.array([2.2, 0.1]), \
-        np.array([-0.3, 0.8])
-    out = warp_forward(x, tx, ty, th)
-    grads = warp_backward(x, tx, ty, th, gy)
-    per = [warp_backward(x[:, i:i + 1], tx, ty, th, gy[:, i:i + 1])
-           for i in range(5)]
+    p = np.array([[0.6, 2.2, -0.3], [-1.4, 0.1, 0.8]])
+    out = warp_forward(x, p)
+    gx, gp = warp_backward(x, p, gy)
+    per = [warp_backward(x[:, i:i + 1], p, gy[:, i:i + 1]) for i in range(5)]
     for i in range(5):
-        one = warp_forward(x[:, i:i + 1], tx, ty, th)
+        one = warp_forward(x[:, i:i + 1], p)
         assert np.array_equal(out[:, i:i + 1], one)
-        assert np.array_equal(grads[0][:, i:i + 1], per[i][0])
-    for k in (1, 2, 3):
-        assert np.allclose(grads[k], sum(p[k] for p in per),
-                           rtol=1e-12, atol=1e-12)
+        assert np.array_equal(gx[:, i:i + 1], per[i][0])
+    assert np.allclose(gp, sum(q[1] for q in per), rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("k", [1, 5])
