@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from ddmc.datagen import PhantomSpec, augment_motion, gen_phantom_pair
+from ddmc.errors import ValidationError
 from ddmc.geometry import compose, invert
 from ddmc.kernels import warp_forward
 
@@ -24,6 +26,19 @@ def warp(x, p):
 
 def params_close(a, b, tol=1e-12):
     return np.max(np.abs(a - b)) < tol
+
+
+def test_identity_and_nonfinite():
+    # the zero row is the identity: its own inverse and its own square
+    assert np.array_equal(invert(IDENTITY), IDENTITY)
+    assert np.array_equal(compose(IDENTITY, IDENTITY), IDENTITY)
+    # a non-finite transform cannot be drawn: augment_motion, which
+    # makes every true_motion, refuses non-finite ranges
+    rec = gen_phantom_pair(PhantomSpec(size=32, n_structures=2), 0)
+    with pytest.raises(ValidationError):
+        augment_motion(rec, float("nan"), 15.0, 3.0, seed=0)
+    with pytest.raises(ValidationError):
+        augment_motion(rec, 10.0, float("inf"), 3.0, seed=0)
 
 
 def test_compose_with_identity():
