@@ -143,8 +143,8 @@ def _cmd_gen_data(args):
     if args.seed is not None:
         cfg.values["data"]["data_seed"] = args.seed
     _no_clobber(args, [os.path.join(args.out, "manifest.json")])
-    cfg.write_snapshot(args.out)
     manifest = build_dataset(args.out, **cfg.dataset_args())
+    cfg.write_snapshot(args.out)
     n = sum(len(v) for v in manifest.splits.values())
     print("wrote %d records to %s" % (n, args.out))
 

@@ -9,6 +9,7 @@ replayed from the artifacts alone.
 
 import configparser
 import io
+import math
 import os
 
 from .errors import ValidationError
@@ -24,6 +25,13 @@ def _int_tuple(text):
     except ValueError:
         raise ValidationError("expected comma-separated integers, got %r"
                               % text)
+
+
+def _float(text):
+    v = float(text)
+    if not math.isfinite(v):
+        raise ValueError("expected a finite number, got %r" % text)
+    return v
 
 
 def _choice(options):
@@ -47,21 +55,21 @@ SCHEMA = {
         "n_val": (int, 40),
         "n_test": (int, 60),
         "n_structures": (int, 6),
-        "blur_sigma": (float, 0.7),
-        "rot_deg": (float, 10.0),
-        "trans_mm": (float, 15.0),
-        "mm_per_px": (float, 0.0),      # 0 means 192 mm FOV / size
+        "blur_sigma": (_float, 0.7),
+        "rot_deg": (_float, 10.0),
+        "trans_mm": (_float, 15.0),
+        "mm_per_px": (_float, 0.0),      # 0 means 192 mm FOV / size
         "data_seed": (int, 2024),
     },
     "mask": {
         "accel": (int, 4),
         "n_center": (int, 6),
-        "sigma_frac": (float, 0.25),
+        "sigma_frac": (_float, 0.25),
         "mask_seed": (int, 1009),
     },
     "loss": {
-        "alpha": (float, 1e-2),
-        "beta": (float, 0.7),
+        "alpha": (_float, 1e-2),
+        "beta": (_float, 0.7),
         "image_loss": (_choice(IMAGE_LOSS_KINDS), "complex"),
     },
     "model": {
@@ -75,7 +83,7 @@ SCHEMA = {
         "contrast_mode": (_choice(CONTRAST_MODES), "fused"),
         "domain_mode": (_choice(DOMAIN_MODES), "dual"),
         "batch_size": (int, 8),
-        "lr": (float, 2e-4),
+        "lr": (_float, 2e-4),
         "max_epochs": (int, 30),
         "patience": (int, 10),
         # 0 falls back to max_epochs

@@ -129,6 +129,14 @@ def gen_phantom_pair(spec, record_id):
     )
 
 
+def _check_motion(rot_range, trans_range, mm_per_px):
+    if not (0 <= rot_range < math.inf and 0 <= trans_range < math.inf
+            and 0 < mm_per_px < math.inf):
+        raise ValidationError("motion ranges must be finite and >= 0 and "
+                              "mm_per_px finite and > 0, got %r, %r, %r"
+                              % (rot_range, trans_range, mm_per_px))
+
+
 def augment_motion(rec, rot_range, trans_range, mm_per_px, seed):
     """Displace the reference by random rigid motion.
 
@@ -136,11 +144,7 @@ def augment_motion(rec, rot_range, trans_range, mm_per_px, seed):
     converts the translation to pixels so the same physical motion
     scales across grid sizes.  The target image is untouched.
     """
-    if not (0 <= rot_range < math.inf and 0 <= trans_range < math.inf
-            and 0 < mm_per_px < math.inf):
-        raise ValidationError("motion ranges must be finite and >= 0 and "
-                              "mm_per_px finite and > 0, got %r, %r, %r"
-                              % (rot_range, trans_range, mm_per_px))
+    _check_motion(rot_range, trans_range, mm_per_px)
     rng = np.random.default_rng(np.random.SeedSequence([seed, rec.record_id]))
     t_px = trans_range / mm_per_px
     motion = np.array([rng.uniform(-t_px, t_px), rng.uniform(-t_px, t_px),
@@ -277,13 +281,15 @@ def build_dataset(out_dir, n_train, n_val, n_test, size=64, n_structures=6,
 
     mm_per_px defaults to a fixed 192 mm field of view divided by the
     grid size, so physical motion ranges mean the same at any size.
+    Every setting is checked before out_dir is created.
     """
     import os
     if mm_per_px is None:
         mm_per_px = 192.0 / size
-    os.makedirs(out_dir, exist_ok=True)
     spec = PhantomSpec(size=size, n_structures=n_structures,
                        blur_sigma=blur_sigma, seed=seed)
+    _check_motion(rot_range, trans_range, mm_per_px)
+    os.makedirs(out_dir, exist_ok=True)
     n = n_train + n_val + n_test
     ids = list(range(n))
     for rid in ids:

@@ -13,7 +13,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError, ValidationError
 
@@ -66,16 +65,26 @@ def psnr(a, b, mask):
 
 
 def _gaussian_kernel():
+    """The normalised 1-D Gaussian of the SSIM window; the window is
+    its outer product with itself."""
     half = (SSIM_WINDOW - 1) / 2.0
     x = np.arange(SSIM_WINDOW, dtype=np.float64) - half
     g = np.exp(-0.5 * (x / SSIM_SIGMA) ** 2)
-    k = np.outer(g, g)
-    return k / k.sum()
+    return g / g.sum()
 
 
-def _local_mean(x, kernel):
-    win = sliding_window_view(x, kernel.shape)
-    return np.tensordot(win, kernel, axes=((2, 3), (0, 1)))
+def _local_mean(x, g):
+    """Mean of the 2-D x under the window outer(g, g) at every fully
+    interior position: one 1-D pass of g down the rows, one across."""
+    n = g.size
+    h, w = x.shape
+    rows = g[0] * x[:h - n + 1]
+    for i in range(1, n):
+        rows += g[i] * x[i:h - n + 1 + i]
+    out = g[0] * rows[:, :w - n + 1]
+    for j in range(1, n):
+        out += g[j] * rows[:, j:w - n + 1 + j]
+    return out
 
 
 def ssim(a, b, mask):

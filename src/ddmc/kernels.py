@@ -41,30 +41,57 @@ def conv2d_forward(x, w, b):
     return y
 
 
-# Byte budget of one im2col slab.  A slab above glibc's mmap threshold
-# is mapped fresh and page-faulted in on every call; a few MB stays in
-# reused heap memory and is as fast as any larger budget measured.
+# Byte budget of one conv workspace: an im2col slab, or the padded
+# input and tap products of the output side.  A workspace above glibc's
+# mmap threshold is mapped fresh and page-faulted in on every call; a
+# few MB stays in reused heap memory and is as fast as any larger
+# budget measured.
 _SLAB_BYTES = 4 << 20
+
+
+def _batch_step(per_image):
+    """Images per batch chunk for a workspace of per_image bytes each:
+    as many as fit _SLAB_BYTES, and at least one."""
+    return max(1, _SLAB_BYTES // per_image)
 
 
 def _chunked_gemm(x, k, wt):
     """[N, Co, H, W] product of the k x k patches of x [N, C, H, W] with
-    wt [C*k*k, Co], one batch chunk at a time.
+    wt [C*k*k, Co], rows ordered (c, di, dj), one batch chunk at a time.
 
-    Each chunk's slab stays within _SLAB_BYTES, or holds one image.
-    Splitting the N*H*W rows of the GEMM changes no dot product, so the
-    result is the one-GEMM result bit for bit.
+    The side with fewer channels is expanded k*k times: the input, as an
+    im2col slab, when C <= Co; else the output, as the k*k tap products
+    that _tap_products returns, summed at their flat offsets.  Each
+    chunk's workspace stays within _SLAB_BYTES, or holds one image.
+    Every output pixel depends only on its own image, so the result does
+    not depend on the chunking.
     """
     n, c, h, w = x.shape
     co = wt.shape[1]
-    per_image = c * k * k * h * w * x.dtype.itemsize
-    step = max(1, _SLAB_BYTES // per_image)
     out = np.empty((n, co, h, w), dtype=np.result_type(x, wt))
+    if co >= c:
+        step = _batch_step(c * k * k * h * w * x.dtype.itemsize)
+        for i in range(0, n, step):
+            # [nb*H*W, C*k*k] patches (a transposed view of the slab) by
+            # [C*k*k, Co] weights
+            y = np.dot(_columns(x[i:i + step], k).T, wt)
+            out[i:i + step] = y.reshape(-1, h, w, co).transpose(0, 3, 1, 2)
+        return out
+    hp, wp = h + k - 1, w + k - 1
+    step = _batch_step(max(c, k * k * co) * hp * wp * out.itemsize)
+    # [(di, dj, co), C] weights
+    wk = wt.reshape(c, k * k * co).T
     for i in range(0, n, step):
-        # [nb*H*W, C*k*k] patches (a transposed view of the slab) by
-        # [C*k*k, Co] weights
-        y = np.dot(_columns(x[i:i + step], k).T, wt)
-        out[i:i + step] = y.reshape(-1, h, w, co).transpose(0, 3, 1, 2)
+        taps = _tap_products(x[i:i + step], k, wk)
+        # output pixel q of the padded grid sums taps[di, dj][q + di*Wp
+        # + dj]; every q inside the crop below stays under m
+        m = taps.shape[2] - (k - 1) * (wp + 1)
+        y = taps[0]
+        for t in range(1, k * k):
+            ofs = (t // k) * wp + t % k
+            y[:, :m] += taps[t, :, ofs:ofs + m]
+        y = y.reshape(co, -1, hp, wp)[:, :, :h, :w]
+        out[i:i + step] = y.transpose(1, 0, 2, 3)
     return out
 
 
@@ -85,6 +112,20 @@ def _columns(x, k):
     return cols.reshape(c * k * k, n * h * w)
 
 
+def _tap_products(x, k, wk):
+    """Each tap's weights times the zero-padded x [N, C, H, W], as a
+    [k*k, Co, N*Hp*Wp] array over the flat padded grid (Hp = H + k - 1,
+    Wp = W + k - 1), for the k*k*Co weight rows wk [(di, dj, co), C].
+
+    x is padded once, channel-major, so one GEMM serves every tap.
+    """
+    n, c, h, w = x.shape
+    p = k // 2
+    xp = np.zeros((c, n, h + k - 1, w + k - 1), dtype=x.dtype)
+    xp[:, :, p:p + h, p:p + w] = x.transpose(1, 0, 2, 3)
+    return np.dot(wk, xp.reshape(c, -1)).reshape(k * k, -1, xp[0].size)
+
+
 def conv2d_grad_input(gy, w):
     """Gradient of conv2d_forward w.r.t. its input (full conv, flipped w)."""
     wflip = w[:, :, ::-1, ::-1].transpose(0, 2, 3, 1).reshape(-1, w.shape[1])
@@ -94,13 +135,16 @@ def conv2d_grad_input(gy, w):
 def conv2d_grad_weights(x, gy, k):
     """Gradients of conv2d_forward w.r.t. weights and bias.
 
-    One GEMM over the whole slab: its dot products run over N*H*W, so
-    splitting the batch would change their rounding.
+    One GEMM per batch chunk, whose slab stays within _SLAB_BYTES or
+    holds one image, accumulated in chunk order.
     """
     n, ci, h, w = x.shape
     co = gy.shape[1]
-    gyt = gy.transpose(1, 0, 2, 3).reshape(co, n * h * w)
-    gw = np.dot(gyt, _columns(x, k).T)
+    step = _batch_step(ci * k * k * h * w * x.dtype.itemsize)
+    gw = np.zeros((co, ci * k * k), dtype=np.result_type(x, gy))
+    for i in range(0, n, step):
+        gyt = gy[i:i + step].transpose(1, 0, 2, 3).reshape(co, -1)
+        gw += np.dot(gyt, _columns(x[i:i + step], k).T)
     gb = gy.sum(axis=(0, 2, 3))
     return gw.reshape(co, ci, k, k), gb
 
@@ -187,10 +231,13 @@ def _corners(sx, sy, shape):
     the frame, for x.ravel().take.
     """
     n, c, h, w = shape
-    x0 = np.floor(sx).astype(np.int64)
-    y0 = np.floor(sy).astype(np.int64)
-    fx = sx - x0
-    fy = sy - y0
+    # offsets in the points' own dtype; the int64 corners only index
+    fx0 = np.floor(sx)
+    fy0 = np.floor(sy)
+    fx = sx - fx0
+    fy = sy - fy0
+    x0 = fx0.astype(np.int64)
+    y0 = fy0.astype(np.int64)
     # per tap row / column: in-frame flag and clipped offset
     rows = [((y0 + d >= 0) & (y0 + d < h), np.clip(y0 + d, 0, h - 1) * w)
             for d in (0, 1)]

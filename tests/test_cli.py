@@ -80,6 +80,28 @@ def test_bad_override_is_validation_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("ddmc: validation:")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_nonfinite_float_is_validation_error(tmp_path, capsys, value):
+    out = tmp_path / "d"
+    assert run(["gen-data", "--out", out,
+                "--set", "data.blur_sigma=" + value] + FAST) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ddmc: validation: bad value for data.blur_sigma")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("setting", ["data.rot_deg=-1", "data.size=30",
+                                     "data.mm_per_px=-2"])
+def test_refused_gen_data_writes_nothing(tmp_path, capsys, setting):
+    # the motion settings and the phantom spec are checked before the
+    # snapshot or any record is written
+    out = tmp_path / "d"
+    assert run(["gen-data", "--out", out] + FAST + ["--set", setting]) == 2
+    assert capsys.readouterr().err.startswith("ddmc: validation:")
+    assert not out.exists()
+
+
 def test_missing_config_file_is_io_error(tmp_path, capsys):
     rc = run(["gen-data", "--out", tmp_path / "d",
               "--config", tmp_path / "nope.cfg"])

@@ -60,6 +60,18 @@ def test_overrides_apply_and_validate():
         load_config(None, overrides=["train.batch_size=soup"])
 
 
+def test_every_float_key_rejects_nonfinite_values():
+    floats = ["%s.%s" % (section, key) for section, keys in SCHEMA.items()
+              for key, (_, default) in keys.items()
+              if isinstance(default, float)]
+    assert len(floats) == 8
+    for dotted in floats:
+        for text in ("nan", "inf", "-inf", "NaN", "-Infinity"):
+            with pytest.raises(ValidationError, match=dotted):
+                load_config(None, overrides=["%s=%s" % (dotted, text)])
+    assert load_config(None, overrides=["loss.beta=1e-3"])["loss.beta"] == 1e-3
+
+
 def test_snapshot_text_roundtrip(tmp_path):
     cfg = load_config(None, overrides=["run.seed=5", "data.n_train=17"])
     out_dir = tmp_path / "run"

@@ -8,7 +8,8 @@ import pytest
 
 from ddmc.datagen import PhantomSpec, gen_phantom_pair
 from ddmc.errors import ShapeError, ValidationError
-from ddmc.evalkit import (PSNR_CAP, MetricResult, metrics, psnr,
+from ddmc.evalkit import (PSNR_CAP, SSIM_WINDOW, MetricResult,
+                          _gaussian_kernel, _local_mean, metrics, psnr,
                           render_report, ssim, write_pgm)
 from ddmc.fourier import ComplexImage
 
@@ -143,6 +144,22 @@ def test_ssim_mask_invariance():
     a2 = a.copy()
     a2[~mask] = 7.0
     assert ssim(a2, b, mask) == base
+
+
+def test_separable_local_mean_is_the_2d_window():
+    # two 1-D passes of the normalised Gaussian equal the 2-D window
+    # outer(g, g) at every fully interior position, in float64
+    rng = np.random.default_rng(8)
+    x = rng.uniform(0, 1, (29, 23))
+    g = _gaussian_kernel()
+    assert g.shape == (SSIM_WINDOW,) and abs(g.sum() - 1.0) < 1e-15
+    win = np.outer(g, g)
+    n = SSIM_WINDOW
+    want = np.array([[np.sum(win * x[i:i + n, j:j + n])
+                      for j in range(23 - n + 1)] for i in range(29 - n + 1)])
+    got = _local_mean(x, g)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) < 1e-14
 
 
 def test_ssim_window_fit():

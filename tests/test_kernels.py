@@ -196,46 +196,121 @@ def _unbounded(monkeypatch, f, *args):
 @pytest.mark.parametrize("k", [1, 3, 5])
 def test_conv2d_batch_chunks_are_bit_identical(monkeypatch, dtype, k):
     # a budget of a little over one image's slab splits the batch into
-    # one-image chunks; two images' worth leaves a remainder chunk
+    # one-image chunks; two images' worth leaves a remainder chunk.  With
+    # 3 -> 4 channels the forward expands the input and the input
+    # gradient the output; with 5 -> 2 it is the other way round
     rng = np.random.default_rng(11)
-    ci, co, h, w = 3, 4, 9, 10
-    one_image = ci * k * k * h * w * np.dtype(dtype).itemsize
-    wt = rng.standard_normal((co, ci, k, k)).astype(dtype)
-    b = rng.standard_normal(co).astype(dtype)
-    for n, budget in ((7, one_image + 1), (13, 2 * one_image)):
-        x = rng.standard_normal((n, ci, h, w)).astype(dtype)
-        gy = rng.standard_normal((n, co, h, w)).astype(dtype)
-        want_y = _unbounded(monkeypatch, conv2d_forward, x, wt, b)
-        want_gx = _unbounded(monkeypatch, conv2d_grad_input, gy, wt)
-        monkeypatch.setattr(ddmc.kernels, "_SLAB_BYTES", budget)
-        y = conv2d_forward(x, wt, b)
-        gx = conv2d_grad_input(gy, wt)
-        assert y.dtype == dtype and gx.dtype == dtype
-        assert y.flags.c_contiguous and gx.flags.c_contiguous
-        assert np.array_equal(_bits(y), _bits(want_y))
-        assert np.array_equal(_bits(gx), _bits(want_gx))
+    h, w = 9, 10
+    for ci, co in ((3, 4), (5, 2)):
+        one_image = ci * k * k * h * w * np.dtype(dtype).itemsize
+        wt = rng.standard_normal((co, ci, k, k)).astype(dtype)
+        b = rng.standard_normal(co).astype(dtype)
+        for n, budget in ((7, one_image + 1), (13, 2 * one_image)):
+            x = rng.standard_normal((n, ci, h, w)).astype(dtype)
+            gy = rng.standard_normal((n, co, h, w)).astype(dtype)
+            want_y = _unbounded(monkeypatch, conv2d_forward, x, wt, b)
+            want_gx = _unbounded(monkeypatch, conv2d_grad_input, gy, wt)
+            with monkeypatch.context() as m:
+                m.setattr(ddmc.kernels, "_SLAB_BYTES", budget)
+                y = conv2d_forward(x, wt, b)
+                gx = conv2d_grad_input(gy, wt)
+            assert y.dtype == dtype and gx.dtype == dtype
+            assert y.flags.c_contiguous and gx.flags.c_contiguous
+            assert np.array_equal(_bits(y), _bits(want_y))
+            assert np.array_equal(_bits(gx), _bits(want_gx))
 
 
 @pytest.mark.parametrize("ci", [32, 4])
 def test_conv2d_slabs_stay_within_budget(monkeypatch, ci):
-    # every slab of a [16xCix64x64] forward fits the budget or holds a
-    # single image, and together the slabs cover the batch once; at 32
-    # channels one image's slab is over the budget, at 4 several fit
-    slabs = []
+    # every workspace of a [16xCix64x64] <-> [16x16x64x64] forward,
+    # input gradient and weight gradient fits the budget or serves a
+    # single image, and each call's chunks cover the batch once.  The
+    # side with fewer channels is expanded: at 32 input channels the
+    # forward builds tap products and the input gradient slabs, at 4
+    # the other way round; one 32-channel image's slab is over budget
+    k, h, w = 3, 64, 64
+    chunks = []
     columns = ddmc.kernels._columns
+    tap_products = ddmc.kernels._tap_products
 
-    def recording(x, k):
-        slabs.append((x.shape[0], columns(x, k)))
-        return slabs[-1][1]
-    monkeypatch.setattr(ddmc.kernels, "_columns", recording)
-    x = np.zeros((16, ci, 64, 64), np.float32)
-    y = conv2d_forward(x, np.zeros((16, ci, 3, 3), np.float32),
-                       np.zeros(16, np.float32))
-    assert y.shape == (16, 16, 64, 64)
-    assert len(slabs) > 1
-    assert sum(n for n, _ in slabs) == 16
-    for n, cols in slabs:
-        assert cols.nbytes <= ddmc.kernels._SLAB_BYTES or n == 1
+    def slab(x, k):
+        cols = columns(x, k)
+        chunks.append(("slab", x.shape[0], [cols.nbytes]))
+        return cols
+
+    def taps(x, k, wk):
+        t = tap_products(x, k, wk)
+        n, c = x.shape[:2]
+        padded = c * n * (h + k - 1) * (w + k - 1) * x.itemsize
+        chunks.append(("taps", n, [padded, t.nbytes]))
+        return t
+    monkeypatch.setattr(ddmc.kernels, "_columns", slab)
+    monkeypatch.setattr(ddmc.kernels, "_tap_products", taps)
+    x = np.zeros((16, ci, h, w), np.float32)
+    wt = np.zeros((16, ci, k, k), np.float32)
+    gy = np.zeros((16, 16, h, w), np.float32)
+    calls = {"forward": lambda: conv2d_forward(x, wt, np.zeros(16, np.float32)),
+             "grad_input": lambda: conv2d_grad_input(gy, wt),
+             "grad_weights": lambda: conv2d_grad_weights(x, gy, k)}
+    kinds = {}
+    for name, call in calls.items():
+        chunks.clear()
+        call()
+        assert len(chunks) > 1
+        assert sum(n for _, n, _ in chunks) == 16
+        for kind, n, sizes in chunks:
+            for nbytes in sizes:
+                assert nbytes <= ddmc.kernels._SLAB_BYTES or n == 1
+        kinds[name] = {kind for kind, _, _ in chunks}
+    wide_in = ci > 16
+    assert kinds == {"forward": {"taps" if wide_in else "slab"},
+                     "grad_input": {"slab" if wide_in else "taps"},
+                     "grad_weights": {"slab"}}
+
+
+def conv2d_grad_loops(x, gy, w):
+    """Input and weight gradients of sum(conv2d_loops(x, w, b) * gy),
+    one product at a time: the oracle."""
+    n, ci, h, wd = x.shape
+    co, _, k, _ = w.shape
+    pad = k // 2
+    gx = np.zeros(x.shape)
+    gw = np.zeros(w.shape)
+    for nn in range(n):
+        for oc in range(co):
+            for i in range(h):
+                for j in range(wd):
+                    g = float(gy[nn, oc, i, j])
+                    for ic in range(ci):
+                        for u in range(k):
+                            for v in range(k):
+                                a, c = i + u - pad, j + v - pad
+                                if 0 <= a < h and 0 <= c < wd:
+                                    gx[nn, ic, a, c] += g * w[oc, ic, u, v]
+                                    gw[oc, ic, u, v] += g * x[nn, ic, a, c]
+    return gx, gw
+
+
+@pytest.mark.parametrize("budget", ["one_image", "default"])
+@pytest.mark.parametrize("ci,co", [(4, 2), (3, 3), (2, 4)])
+def test_conv2d_paths_match_loop_oracles(monkeypatch, ci, co, budget):
+    # forward, input gradient and weight gradient on both workspace
+    # paths (fewer output than input channels, as many, more), with
+    # whole-batch chunks and with one-image chunks
+    if budget == "one_image":
+        monkeypatch.setattr(ddmc.kernels, "_SLAB_BYTES", 1)
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((3, ci, 5, 6))
+    w = rng.standard_normal((co, ci, 3, 3))
+    b = rng.standard_normal(co)
+    gy = rng.standard_normal((3, co, 5, 6))
+    want_gx, want_gw = conv2d_grad_loops(x, gy, w)
+    assert np.max(np.abs(conv2d_forward(x, w, b)
+                         - conv2d_loops(x, w, b))) < 1e-10
+    assert np.max(np.abs(conv2d_grad_input(gy, w) - want_gx)) < 1e-10
+    gw, gb = conv2d_grad_weights(x, gy, 3)
+    assert np.max(np.abs(gw - want_gw)) < 1e-10
+    assert np.max(np.abs(gb - gy.sum(axis=(0, 2, 3)))) < 1e-10
 
 
 def test_warp_identity_is_exact():
@@ -312,6 +387,29 @@ def test_warp_param_gradients_match_finite_differences():
         fd = (np.sum(warp_forward(xp, p) * gy)
               - np.sum(warp_forward(xm, p) * gy)) / (2 * eps)
         assert abs(gx[idx] - fd) < 1e-5 * max(1.0, abs(fd))
+
+
+def test_float32_warp_stays_float32():
+    # the bilinear weights are taken in the input's dtype, and a float32
+    # warp agrees with the float64 warp of the same values to float32
+    # rounding: a coordinate near 64 px is rounded by up to 64 eps, so
+    # allow 16 times that relative to the largest value
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((2, 2, 64, 64)).astype(np.float32)
+    gy = rng.standard_normal(x.shape).astype(np.float32)
+    p = np.array([[1.3, -2.4, 0.25], [-0.6, 3.1, -0.4]], np.float32)
+    sx, sy = ddmc.kernels._sample_coords(64, 64, p, np.float32)[:2]
+    fx, fy = ddmc.kernels._corners(sx, sy, x.shape)[:2]
+    assert fx.dtype == np.float32 and fy.dtype == np.float32
+    x64, p64, gy64 = (a.astype(np.float64) for a in (x, p, gy))
+    tol = 16 * 64 * np.finfo(np.float32).eps
+    y = warp_forward(x, p)
+    gx, gp = warp_backward(x, p, gy)
+    want_gx, want_gp = warp_backward(x64, p64, gy64)
+    assert y.dtype == gx.dtype == gp.dtype == np.float32
+    for got, want in ((y, warp_forward(x64, p64)), (gx, want_gx),
+                      (gp, want_gp)):
+        assert np.max(np.abs(got - want)) < tol * np.max(np.abs(want))
 
 
 def test_warp_input_gradient_is_the_adjoint():
