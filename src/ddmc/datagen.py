@@ -13,7 +13,6 @@ import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .errors import (BadMagicError, RecordFormatError, TruncatedFileError,
                      ValidationError, VersionMismatchError)
@@ -46,6 +45,9 @@ class PhantomSpec:
                                   "by 4, got %d" % self.size)
         if self.n_structures < 0:
             raise ValidationError("n_structures must be >= 0")
+        if not 0 <= self.blur_sigma < math.inf:
+            raise ValidationError("blur_sigma must be finite and >= 0, got "
+                                  "%r" % self.blur_sigma)
 
 
 @dataclass
@@ -103,10 +105,35 @@ def phantom_class_map(spec, record_id):
     return cmap
 
 
+def _smooth_rows(x, w):
+    """x [H, W] float32 filtered down its rows by the symmetric taps w
+    (length 2r + 1), mirror-padded at the edges, summed in float64 and
+    rounded to float32.  The centre tap comes first, then each pair of
+    taps from the outermost in, as w[r + j] * (x[i - j] + x[i + j])."""
+    r = len(w) // 2
+    n = len(x)
+    p = np.pad(x.astype(np.float64), ((r, r), (0, 0)), mode="symmetric")
+    acc = w[r] * p[r:r + n]
+    for j in range(r, 0, -1):
+        acc += w[r + j] * (p[r - j:r - j + n] + p[r + j:r + j + n])
+    return acc.astype(np.float32)
+
+
+def _gaussian_blur(img, sigma):
+    """A float32 image under a Gaussian of std sigma > 0, truncated at
+    four sigmas: down the rows, then along them.  It gives the bits of
+    scipy.ndimage.gaussian_filter(img, sigma)."""
+    r = int(4 * sigma + 0.5)
+    x = np.arange(-r, r + 1)
+    w = np.exp(-0.5 / (sigma * sigma) * x ** 2)
+    w = w / w.sum()
+    return _smooth_rows(_smooth_rows(img, w).T, w).T
+
+
 def _render(cmap, table, blur_sigma, mask):
     img = np.asarray(table, dtype=np.float32)[cmap]
     if blur_sigma > 0:
-        img = gaussian_filter(img, blur_sigma)
+        img = _gaussian_blur(img, blur_sigma)
     img = np.where(mask, img, 0.0).astype(np.float32)
     return np.clip(img, 0.0, 1.0)
 
@@ -289,6 +316,10 @@ def build_dataset(out_dir, n_train, n_val, n_test, size=64, n_structures=6,
     spec = PhantomSpec(size=size, n_structures=n_structures,
                        blur_sigma=blur_sigma, seed=seed)
     _check_motion(rot_range, trans_range, mm_per_px)
+    if min(n_train, n_val, n_test) < 0:
+        raise ValidationError("split counts must be >= 0, got n_train=%r, "
+                              "n_val=%r, n_test=%r"
+                              % (n_train, n_val, n_test))
     os.makedirs(out_dir, exist_ok=True)
     n = n_train + n_val + n_test
     ids = list(range(n))

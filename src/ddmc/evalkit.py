@@ -32,36 +32,42 @@ class MetricResult:
     n_pixels: int
 
 
-def _magnitude_of(a):
+def _magnitude_of(a, ndim=2):
     arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ShapeError("metrics expect 2-D images, got %s" % (arr.shape,))
+    if arr.ndim != ndim:
+        raise ShapeError("metrics expect %d-D images, got %s"
+                         % (ndim, arr.shape))
     return arr
 
 
-def _check_mask(mask, shape):
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != shape:
-        raise ShapeError("mask %s does not match image %s"
-                         % (mask.shape, shape))
-    if not mask.any():
-        raise ValidationError("empty mask: no pixels to evaluate")
-    return mask
-
-
-def psnr(a, b, mask):
-    """Peak SNR in dB over masked magnitudes for peak PEAK, capped at 100."""
-    am = _magnitude_of(a)
-    bm = _magnitude_of(b)
+def _checked(a, b, mask, ndim, what):
+    """a, b as float64 and mask as bool, each with ndim axes; every
+    image's mask must hold a pixel."""
+    am = _magnitude_of(a, ndim)
+    bm = _magnitude_of(b, ndim)
     if am.shape != bm.shape:
-        raise ShapeError("psnr inputs disagree: %s vs %s"
-                         % (am.shape, bm.shape))
-    m = _check_mask(mask, am.shape)
+        raise ShapeError("%s inputs disagree: %s vs %s"
+                         % (what, am.shape, bm.shape))
+    m = np.asarray(mask, dtype=bool)
+    if m.shape != am.shape:
+        raise ShapeError("mask %s does not match image %s"
+                         % (m.shape, am.shape))
+    if not m.any(axis=(-2, -1)).all():
+        raise ValidationError("empty mask: no pixels to evaluate")
+    return am, bm, m
+
+
+def _psnr(am, bm, m):
     err = am[m] - bm[m]
     mse = float(np.mean(err * err))
     if mse == 0.0:
         return PSNR_CAP
     return min(PSNR_CAP, 10.0 * np.log10(PEAK * PEAK / mse))
+
+
+def psnr(a, b, mask):
+    """Peak SNR in dB over masked magnitudes for peak PEAK, capped at 100."""
+    return _psnr(*_checked(a, b, mask, 2, "psnr"))
 
 
 def _gaussian_kernel():
@@ -74,38 +80,32 @@ def _gaussian_kernel():
 
 
 def _local_mean(x, g):
-    """Mean of the 2-D x under the window outer(g, g) at every fully
-    interior position: one 1-D pass of g down the rows, one across."""
+    """Mean of x [..., H, W] under the window outer(g, g) at every fully
+    interior position of each image: one 1-D pass of g down the rows,
+    one across."""
     n = g.size
-    h, w = x.shape
-    rows = g[0] * x[:h - n + 1]
+    h, w = x.shape[-2:]
+    rows = g[0] * x[..., :h - n + 1, :]
     for i in range(1, n):
-        rows += g[i] * x[i:h - n + 1 + i]
-    out = g[0] * rows[:, :w - n + 1]
+        rows += g[i] * x[..., i:h - n + 1 + i, :]
+    out = g[0] * rows[..., :w - n + 1]
     for j in range(1, n):
-        out += g[j] * rows[:, j:w - n + 1 + j]
+        out += g[j] * rows[..., j:w - n + 1 + j]
     return out
 
 
-def ssim(a, b, mask):
-    """Mean local SSIM over masked pixels.
-
-    Local statistics use an SSIM_WINDOW x SSIM_WINDOW Gaussian window
-    (sigma SSIM_SIGMA) at fully interior positions, with stabilisers
-    from SSIM_K1 and SSIM_K2 at a dynamic range of 1; the map is
-    averaged where the window centre is masked.  Images are zeroed
-    outside the mask first so the metric cannot see unmasked pixels.
-    """
-    am = _magnitude_of(a)
-    bm = _magnitude_of(b)
-    if am.shape != bm.shape:
-        raise ShapeError("ssim inputs disagree: %s vs %s"
-                         % (am.shape, bm.shape))
-    m = _check_mask(mask, am.shape)
-    h, w = am.shape
+def _ssim_maps(am, bm, m):
+    """Local SSIM maps of [..., H, W] images zeroed outside their masks,
+    and the masks of the maps' window centres."""
+    h, w = am.shape[-2:]
     if h < SSIM_WINDOW or w < SSIM_WINDOW:
         raise ValidationError("image %dx%d smaller than %dx%d ssim window"
                               % (h, w, SSIM_WINDOW, SSIM_WINDOW))
+    half = SSIM_WINDOW // 2
+    centres = m[..., half:h - half, half:w - half]
+    if not centres.any(axis=(-2, -1)).all():
+        raise ValidationError("mask has no pixels with a fully interior "
+                              "%dx%d window" % (SSIM_WINDOW, SSIM_WINDOW))
     am = np.where(m, am, 0.0)
     bm = np.where(m, bm, 0.0)
     kern = _gaussian_kernel()
@@ -118,20 +118,37 @@ def ssim(a, b, mask):
     c2 = SSIM_K2 ** 2
     num = (2 * mu1 * mu2 + c1) * (2 * s12 + c2)
     den = (mu1 * mu1 + mu2 * mu2 + c1) * (s11 + s22 + c2)
-    smap = num / den
-    half = SSIM_WINDOW // 2
-    centres = m[half:h - half, half:w - half]
-    if not centres.any():
-        raise ValidationError("mask has no pixels with a fully interior "
-                              "%dx%d window" % (SSIM_WINDOW, SSIM_WINDOW))
+    return num / den, centres
+
+
+def ssim(a, b, mask):
+    """Mean local SSIM over masked pixels.
+
+    Local statistics use an SSIM_WINDOW x SSIM_WINDOW Gaussian window
+    (sigma SSIM_SIGMA) at fully interior positions, with stabilisers
+    from SSIM_K1 and SSIM_K2 at a dynamic range of 1; the map is
+    averaged where the window centre is masked.  Images are zeroed
+    outside the mask first so the metric cannot see unmasked pixels.
+    """
+    smap, centres = _ssim_maps(*_checked(a, b, mask, 2, "ssim"))
     return float(smap[centres].mean())
 
 
 def metrics(a, b, mask):
-    """PSNR and SSIM in one result."""
-    m = np.asarray(mask, dtype=bool)
-    return MetricResult(psnr=psnr(a, b, m), ssim=ssim(a, b, m),
-                        n_pixels=int(m.sum()))
+    """PSNR and SSIM in one result for 2-D images.  For [N, H, W]
+    stacks, a list of one result per image, each equal to the result of
+    that image alone: the SSIM windows filter the whole stack at once,
+    and each image's masked means are taken on their own."""
+    stacked = np.ndim(a) == 3
+    am, bm, m = _checked(a, b, mask, 3 if stacked else 2, "metrics")
+    if not stacked:
+        am, bm, m = am[None], bm[None], m[None]
+    smaps, centres = _ssim_maps(am, bm, m)
+    results = [MetricResult(psnr=_psnr(am[i], bm[i], m[i]),
+                            ssim=float(smaps[i][centres[i]].mean()),
+                            n_pixels=int(m[i].sum()))
+               for i in range(len(am))]
+    return results if stacked else results[0]
 
 
 def write_pgm(path, img01):
@@ -175,13 +192,15 @@ def render_report(records, outputs, out_dir, err_scale=5.0):
     for rec, panels in zip(records, outputs):
         truth = _magnitude_of(rec.tgt.magnitude())
         named = dict(panels, ground_truth=truth)
-        for name in sorted(named):
-            mag = _magnitude_of(named[name])
+        names = sorted(named)
+        mags = [_magnitude_of(named[name]) for name in names]
+        scores = metrics(mags, [truth] * len(mags),
+                         [rec.brain_mask] * len(mags))
+        for name, mag, r in zip(names, mags, scores):
             base = os.path.join(out_dir, "rec_%05d_%s" % (rec.record_id, name))
             written.append(write_pgm(base + ".pgm", mag))
             err = np.abs(mag - truth) * err_scale
             written.append(write_pgm(base + "_err.pgm", err))
-            r = metrics(mag, truth, rec.brain_mask)
             rows.append((rec.record_id, name, "%.6f" % r.psnr,
                          "%.6f" % r.ssim, r.n_pixels))
     csv_path = os.path.join(out_dir, "report.csv")

@@ -3,8 +3,12 @@
 Array-in / array-out numpy functions that the autodiff ops in diffcore
 wrap.  The conv, pool and warp forwards validate their input shapes;
 each backward takes the shapes its forward accepted.  Convolutions are
-stride-1, same-padded, odd square kernels only.
+stride-1, same-padded, odd square kernels only.  blas_threads sets the
+thread count of the OpenBLAS behind numpy's matrix products for a block.
 """
+
+import contextlib
+import functools
 
 import numpy as np
 
@@ -321,3 +325,53 @@ def upsample2x_backward(gy):
     as numpy's reduction (which starts from +0.0) gives."""
     a = gy[..., 0::2] + gy[..., 1::2]
     return a[:, :, 0::2] + a[:, :, 1::2] + 0.0
+
+
+@functools.cache
+def _openblas():
+    """The (get, set) thread-count functions of every OpenBLAS among the
+    process's loaded libraries; empty where there is none.  Found on
+    first use, so importing the package scans no libraries."""
+    import ctypes
+    try:
+        with open("/proc/self/maps") as f:
+            paths = sorted({line.split()[-1] for line in f
+                            if "openblas" in line})
+    except OSError:
+        paths = []
+    found = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_openblas", "64_"),
+                               ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, prefix + "_get_num_threads" + suffix, None)
+            put = getattr(lib, prefix + "_set_num_threads" + suffix, None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                put.argtypes, put.restype = (ctypes.c_int,), None
+                found.append((get, put))
+                break
+    return tuple(found)
+
+
+def set_blas_threads(n):
+    """Give every loaded OpenBLAS n threads; returns the counts they had.
+    Does nothing where no OpenBLAS is loaded."""
+    libs = _openblas()
+    old = [get() for get, _ in libs]
+    for _, put in libs:
+        put(n)
+    return old
+
+
+@contextlib.contextmanager
+def blas_threads(n):
+    """OpenBLAS runs n threads inside the block and its former counts
+    after it.  The count applies to the whole process: set it where no
+    other thread is inside a BLAS call."""
+    old = set_blas_threads(n)
+    try:
+        yield
+    finally:
+        for (_, put), k in zip(_openblas(), old):
+            put(k)

@@ -52,6 +52,7 @@ from .errors import (CheckpointIntegrityError, NonFiniteLossError,
 from .evalkit import metrics as _metrics
 from .fourier import (fft2c_channels, fft2c_stack, ifft2c_channels,
                       ifft2c_stack)
+from .kernels import blas_threads, set_blas_threads
 from .models import (ReconNet, ReconNetConfig, RegNet, RegNetConfig,
                      SynthNet, SynthNetConfig, register_refined)
 from .objectives import (DOMAIN_MODES, IMAGE_LOSS_KINDS, STAGES,
@@ -423,6 +424,24 @@ def _frozen_synth(net, x):
     return _apply_chunked(lambda a: net(Tensor(a)).data, x)
 
 
+def _per_branch(plan, fn):
+    """{branch: fn(branch)} for the plan's branches.
+
+    Under dual the two calls run at once, in two threads, with OpenBLAS
+    held at one thread each so the branches share the cores instead of
+    oversubscribing them.  fn must only read shared state and return its
+    result; the caller stores it.  The pool lives only for this call, so
+    no thread outlives it into a forked ablation worker.
+    """
+    branches = plan.branches()
+    if len(branches) == 1:
+        return {branches[0]: fn(branches[0])}
+    # imported here, as the process pool is, to keep the import light
+    from concurrent.futures import ThreadPoolExecutor
+    with blas_threads(1), ThreadPoolExecutor(len(branches)) as pool:
+        return dict(zip(branches, pool.map(fn, branches)))
+
+
 def add_stage_outputs(stage, plan, nets, table):
     """Add a finalised stage's output to a split's record table.
 
@@ -432,16 +451,25 @@ def add_stage_outputs(stage, plan, nets, table):
     reference; after registration, prior_<branch> is that image
     registered to x_u.  Both are [N, 2, H, W] arrays in image space.
     """
-    for b in plan.branches():
-        if stage == "synthesis":
+    if stage == "synthesis":
+        column = "syn_"
+
+        def output(b):
             br = _BRANCHES[b]
-            table["syn_" + b] = br.to_image(_frozen_synth(
-                nets["synth_" + b], table[br.ref_moved]))
-        elif stage == "registration":
-            table["prior_" + b] = _apply_chunked(
+            return br.to_image(_frozen_synth(nets["synth_" + b],
+                                             table[br.ref_moved]))
+    elif stage == "registration":
+        column = "prior_"
+
+        def output(b):
+            return _apply_chunked(
                 lambda m, f: register_refined(nets["registration"], m, f,
                                               plan.reg_refine_iters)[1],
                 table["syn_" + b], table["x_u"])
+    else:
+        return
+    for b, out in _per_branch(plan, output).items():
+        table[column + b] = out
 
 
 def compute_stage_inputs(stage, plan, table):
@@ -485,22 +513,24 @@ def forward_stage(stage, plan, nets, batch):
     if stage not in STAGES:
         raise ValidationError("unknown stage %r, expected one of %s"
                               % (stage, ", ".join(STAGES)))
-    out = {}
-    for b in plan.branches():
-        br = _BRANCHES[b]
-        if stage == "synthesis":
-            out[b] = nets["synth_" + b](Tensor(batch["in_" + b]))
-        elif stage == "registration":
-            mov = Tensor(batch["mov_" + b])
-            g = nets["registration"](mov, Tensor(batch["x_u"]))
-            out[b] = br.from_image_t(warp_rigid(mov, g))
-        else:
-            # data consistency acts in k-space; the image branch
-            # round-trips its estimate through k-space for it
-            est = nets["recon_" + b](Tensor(batch["in_" + b]))
-            out[b] = br.from_kspace_t(data_consistency_channels(
-                br.to_kspace_t(est), batch["y_u"], batch["plane"]))
-    return out
+    return {b: _forward_branch(stage, b, nets, batch)
+            for b in plan.branches()}
+
+
+def _forward_branch(stage, b, nets, batch):
+    """forward_stage's output for branch b."""
+    br = _BRANCHES[b]
+    if stage == "synthesis":
+        return nets["synth_" + b](Tensor(batch["in_" + b]))
+    if stage == "registration":
+        mov = Tensor(batch["mov_" + b])
+        g = nets["registration"](mov, Tensor(batch["x_u"]))
+        return br.from_image_t(warp_rigid(mov, g))
+    # data consistency acts in k-space; the image branch round-trips its
+    # estimate through k-space for it
+    est = nets["recon_" + b](Tensor(batch["in_" + b]))
+    return br.from_kspace_t(data_consistency_channels(
+        br.to_kspace_t(est), batch["y_u"], batch["plane"]))
 
 
 def _batch_loss(stage, plan, nets, batch):
@@ -746,37 +776,39 @@ def evaluate(checkpoints, dataset, split, plan, with_outputs=False):
     for stage in required[:-1]:
         add_stage_outputs(stage, plan, nets, table)
     branches = plan.branches()
-
-    # (stage, branch) -> [N, 2, H, W] image-space estimates, in split order
-    estimates = {}
     recon_in = compute_stage_inputs("reconstruction", plan, table)
-    recon = [forward_stage("reconstruction", plan, nets,
-                           _take(recon_in, rows))
-             for rows in _batched(np.arange(len(recs)), _CHUNK)]
-    for b in branches:
-        br = _BRANCHES[b]
-        if plan.contrast_mode == "fused":
-            estimates["synthesis", b] = br.to_image(_frozen_synth(
-                nets["synth_" + b], table[br.ref_aligned]))
-            estimates["registration", b] = table["prior_" + b]
-        estimates["reconstruction", b] = np.concatenate(
-            [br.to_image(out[b].data) for out in recon])
-    mags = {key: _mag(est) for key, est in estimates.items()}
     target = _mag(table["x_tgt"])
+
+    def score(b):
+        """Branch b's stage -> [N, H, W] magnitudes of its image-space
+        estimates, in split order, and stage -> their metrics."""
+        br = _BRANCHES[b]
+        estimates = {}
+        if plan.contrast_mode == "fused":
+            estimates["synthesis"] = br.to_image(_frozen_synth(
+                nets["synth_" + b], table[br.ref_aligned]))
+            estimates["registration"] = table["prior_" + b]
+        estimates["reconstruction"] = np.concatenate(
+            [br.to_image(_forward_branch("reconstruction", b, nets,
+                                         _take(recon_in, rows)).data)
+             for rows in _batched(np.arange(len(recs)), _CHUNK)])
+        mags = {s: _mag(est) for s, est in estimates.items()}
+        return mags, {s: _metrics(m, target, table["brain_mask"])
+                      for s, m in mags.items()}
+
+    # branch -> (its magnitudes, its metrics)
+    scored = _per_branch(plan, score)
 
     per_record = []
     aggregates = {}
     for stage in required:
         for b in branches:
-            ms = []
-            for rec, est, tgt, brain in zip(recs, mags[stage, b], target,
-                                            table["brain_mask"]):
-                m = _metrics(est, tgt, brain)
+            ms = scored[b][1][stage]
+            for rec, m in zip(recs, ms):
                 per_record.append({"record_id": rec.record_id,
                                    "stage": stage, "branch": b,
                                    "psnr": m.psnr, "ssim": m.ssim,
                                    "n_pixels": m.n_pixels})
-                ms.append(m)
             agg = {"n": len(ms)}
             for k in ("psnr", "ssim"):
                 v = np.array([getattr(m, k) for m in ms], dtype=np.float64)
@@ -793,9 +825,9 @@ def evaluate(checkpoints, dataset, split, plan, with_outputs=False):
         for i in range(len(recs)):
             panels = {"zero_filled": zero_filled[i]}
             for stage in required:
-                panels[stage] = mags[stage, branches[0]][i]
+                panels[stage] = scored[branches[0]][0][stage][i]
             for b in branches[1:]:
-                panels["recon_" + b] = mags["reconstruction", b][i]
+                panels["recon_" + b] = scored[b][0]["reconstruction"][i]
             outputs.append(panels)
     return EvalResult(split=split, per_record=per_record,
                       aggregates=aggregates, outputs=outputs)
@@ -864,6 +896,12 @@ def _run_cell(args):
     return agg_rows, result.summary_row(plan)
 
 
+def _share_cores(workers):
+    """Start an ablation worker with its share of the cores for OpenBLAS,
+    which otherwise runs one thread per core in every worker."""
+    set_blas_threads(max(1, (os.cpu_count() or 1) // workers))
+
+
 def run_ablation(plans, dataset_root, out_dir, seed, eval_split, workers):
     """Train and score one pipeline per plan, as cell_plans builds them,
     in up to `workers` processes.  Each cell is self-contained and
@@ -875,7 +913,9 @@ def run_ablation(plans, dataset_root, out_dir, seed, eval_split, workers):
         done = [_run_cell(j) for j in jobs]
     else:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=_share_cores,
+                                 initargs=(workers,)) as pool:
             done = list(pool.map(_run_cell, jobs))
     all_rows = [row for rows, _ in done for row in rows]
     summaries = [summary for _, summary in done]

@@ -265,6 +265,61 @@ def test_blas_thread_count_changes_no_output(tmp_path):
             (outs[1] / name).read_bytes(), name
 
 
+def test_ablate_cell_matches_train_and_eval_with_blas_unset(tmp_path):
+    # a fused dual ablate cell in a two-worker pool, with OPENBLAS_NUM_THREADS
+    # unset so each worker sets its own share of the cores, writes the
+    # checkpoint and CSV bytes that train --stage all and eval write for
+    # the same plan
+    data = tmp_path / "data"
+    assert run(["gen-data", "--out", data] + FAST) == 0
+    src = os.path.dirname(os.path.dirname(ddmc.__file__))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "DDMC_THREADS")}
+    env["PYTHONPATH"] = src
+    cfg = FAST + ["--set", "train.max_epochs=1",
+                  "--set", "train.contrast_mode=fused",
+                  "--set", "train.domain_mode=dual"]
+    for argv in (["train", "--data", data, "--out", tmp_path / "train",
+                  "--stage", "all"],
+                 ["eval", "--data", data, "--ckpt-dir", tmp_path / "train",
+                  "--out", tmp_path / "eval"],
+                 ["ablate", "--data", data, "--out", tmp_path / "ablate",
+                  "--grid", "dual,fused,4x;image,single,4x"]):
+        subprocess.run([sys.executable, "-m", "ddmc.cli"]
+                       + [str(a) for a in argv + cfg],
+                       env=env, check=True, stdout=subprocess.DEVNULL)
+    cell = tmp_path / "ablate" / "fused-dual-4x"
+    want = {"train": ["synthesis.ckpt", "registration.ckpt",
+                      "reconstruction.ckpt", "train_steps.csv",
+                      "val_epochs.csv"],
+            "eval": ["metrics.csv", "records.csv"]}
+    for sub, names in want.items():
+        for name in names:
+            assert (cell / name).read_bytes() == \
+                (tmp_path / sub / name).read_bytes(), name
+
+
+def test_negative_split_count_or_blur_is_refused(tmp_path, capsys):
+    for setting in ("data.n_train=-2", "data.n_test=-1",
+                    "data.blur_sigma=-3"):
+        out = tmp_path / "d"
+        assert run(["gen-data", "--out", out] + FAST
+                   + ["--set", setting]) == 2, setting
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ddmc: validation:")
+        assert setting.split(".")[1].split("=")[0] in err[0]
+        assert not out.exists()
+
+
+def test_cli_import_leaves_scipy_out():
+    src = os.path.dirname(os.path.dirname(ddmc.__file__))
+    code = "import sys, ddmc.cli; print('scipy' in sys.modules)"
+    got = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert got.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("threads", ["abc", "0"])
 def test_bad_ddmc_threads_refuses_ablation_before_writing(
         tmp_path, capsys, monkeypatch, threads):

@@ -6,11 +6,11 @@ from math import inf, nan
 
 import numpy as np
 import pytest
-from scipy.ndimage import binary_erosion
+from scipy.ndimage import binary_erosion, gaussian_filter
 
 from ddmc.datagen import (REF_INTENSITIES, TGT_INTENSITIES, Dataset,
-                          DatasetManifest, PhantomSpec, augment_motion,
-                          build_dataset, gen_phantom_pair,
+                          DatasetManifest, PhantomSpec, _gaussian_blur,
+                          augment_motion, build_dataset, gen_phantom_pair,
                           phantom_class_map, read_record, record_path,
                           write_record)
 from ddmc.errors import (BadMagicError, RecordFormatError, TruncatedFileError,
@@ -211,3 +211,38 @@ def test_motion_translation_scales_with_grid(tmp_path):
                   n_structures=2, seed=0, trans_range=15.0)
     man = DatasetManifest.load(root + "/manifest.json")
     assert man.mm_per_px == pytest.approx(192.0 / 32)
+
+
+@pytest.mark.parametrize("size", [32, 64, 128])
+@pytest.mark.parametrize("sigma", [0.3, 0.7, 1.5, 3.0])
+def test_gaussian_blur_gives_scipys_bits(size, sigma):
+    # scipy's gaussian_filter is the oracle: float32 in, float32 out
+    rng = np.random.default_rng(size)
+    img = rng.uniform(0, 1, (size, size)).astype(np.float32)
+    got = _gaussian_blur(img, sigma)
+    assert got.dtype == np.float32
+    assert np.array_equal(got, gaussian_filter(img, sigma))
+
+
+def test_phantom_blur_gives_scipys_bits():
+    spec = PhantomSpec(size=64, n_structures=6, blur_sigma=0.7, seed=9)
+    for rid in range(4):
+        cmap = phantom_class_map(spec, rid)
+        for table in (REF_INTENSITIES, TGT_INTENSITIES):
+            img = np.asarray(table, dtype=np.float32)[cmap]
+            assert np.array_equal(_gaussian_blur(img, spec.blur_sigma),
+                                  gaussian_filter(img, spec.blur_sigma))
+
+
+@pytest.mark.parametrize("sigma", [-3.0, nan, inf])
+def test_phantom_spec_refuses_a_bad_blur(sigma):
+    with pytest.raises(ValidationError):
+        PhantomSpec(blur_sigma=sigma)
+
+
+def test_negative_split_count_is_refused_before_writing(tmp_path):
+    root = tmp_path / "neg"
+    for counts in ((-2, 1, 1), (1, -1, 1), (1, 1, -3)):
+        with pytest.raises(ValidationError):
+            build_dataset(str(root), *counts, size=32)
+    assert not root.exists()

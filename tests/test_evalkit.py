@@ -177,6 +177,46 @@ def test_metrics_bundle():
     assert r.n_pixels == 32 * 32
 
 
+def test_stacked_metrics_equal_each_image_alone():
+    # float64 stacks of varied images and masks: every result is the
+    # bits psnr, ssim and the 2-D metrics give for its image alone
+    rng = np.random.default_rng(8)
+    a = rng.uniform(0, 1, (5, 32, 32))
+    b = np.clip(a + 0.05 * rng.standard_normal(a.shape), 0, 1)
+    b[2] = a[2]
+    masks = rng.uniform(0, 1, a.shape) > 0.3
+    masks[0] = True
+    got = metrics(a, b, masks)
+    assert len(got) == len(a)
+    for i, r in enumerate(got):
+        assert r == MetricResult(psnr=psnr(a[i], b[i], masks[i]),
+                                 ssim=ssim(a[i], b[i], masks[i]),
+                                 n_pixels=int(masks[i].sum()))
+        assert r == metrics(a[i], b[i], masks[i])
+    assert got[2].psnr == PSNR_CAP
+
+
+def test_stacked_metrics_refuse_any_empty_mask():
+    a = np.zeros((3, 16, 16))
+    masks = np.ones(a.shape, dtype=bool)
+    masks[1] = False
+    with pytest.raises(ValidationError):
+        metrics(a, a, masks)
+    with pytest.raises(ShapeError):
+        metrics(a, a[:2], masks)
+
+
+def test_local_mean_filters_the_last_two_axes():
+    rng = np.random.default_rng(9)
+    x = rng.uniform(0, 1, (2, 3, 20, 24))
+    g = _gaussian_kernel()
+    got = _local_mean(x, g)
+    assert got.shape == (2, 3, 10, 14)
+    for i in range(2):
+        for j in range(3):
+            assert np.array_equal(got[i, j], _local_mean(x[i, j], g))
+
+
 def test_pgm_format_law(tmp_path):
     img = np.linspace(0, 1, 256).reshape(16, 16)
     path = str(tmp_path / "a.pgm")

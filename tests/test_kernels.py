@@ -463,3 +463,43 @@ def test_conv2d_other_kernel_sizes(k):
     assert abs(np.sum(x * gx) - inner) < 1e-10 * max(1.0, abs(inner))
     assert abs(np.sum(w * gw) - inner) < 1e-10 * max(1.0, abs(inner))
     assert np.allclose(gb, gy.sum(axis=(0, 2, 3)))
+
+
+def blas_counts(libs):
+    return [get() for get, _ in libs]
+
+
+def test_blas_threads_sets_the_count_and_restores_it():
+    libs = ddmc.kernels._openblas()
+    if not libs:
+        pytest.skip("numpy here is not linked against OpenBLAS")
+    before = blas_counts(libs)
+    with ddmc.kernels.blas_threads(1):
+        assert blas_counts(libs) == [1] * len(libs)
+    assert blas_counts(libs) == before
+    with pytest.raises(RuntimeError):
+        with ddmc.kernels.blas_threads(1):
+            raise RuntimeError("inside the block")
+    assert blas_counts(libs) == before
+
+
+def test_blas_threads_restores_each_library_it_found(monkeypatch):
+    counts = [3, 2]
+
+    def fake(i):
+        return (lambda: counts[i], lambda n: counts.__setitem__(i, n))
+    monkeypatch.setattr(ddmc.kernels, "_openblas",
+                        lambda: [fake(0), fake(1)])
+    with ddmc.kernels.blas_threads(1):
+        assert counts == [1, 1]
+    assert counts == [3, 2]
+
+
+def test_blas_threads_without_openblas_does_nothing(monkeypatch):
+    libs = ddmc.kernels._openblas()
+    before = blas_counts(libs)
+    monkeypatch.setattr(ddmc.kernels, "_openblas", lambda: [])
+    with ddmc.kernels.blas_threads(1):
+        assert blas_counts(libs) == before
+    assert ddmc.kernels.set_blas_threads(1) == []
+    assert blas_counts(libs) == before

@@ -4,6 +4,8 @@ import copy
 import csv
 import json
 import os
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 
 from ddmc.config import default_config
 from ddmc.datagen import Dataset, build_dataset
+import ddmc.kernels
 import ddmc.pipeline
 from ddmc.errors import (CheckpointIntegrityError, MaskBudgetError,
                          NonFiniteLossError, StageOrderError,
@@ -396,12 +399,15 @@ def test_fused_eval_panels_show_the_scored_estimates(dataset, domain_mode):
 
 def count_frozen_calls(monkeypatch):
     """Calls from here on to SynthNet and RegNet nets whose parameters
-    are frozen."""
+    are frozen.  The dual branches' frozen calls run in two threads, so
+    the count is taken under a lock."""
     calls = {SynthNet: 0, RegNet: 0}
+    lock = threading.Lock()
     for cls in calls:
         def counted(self, *args, _cls=cls, _orig=cls.__call__):
             if not any(t.requires_grad for _, t in self.params.items()):
-                calls[_cls] += 1
+                with lock:
+                    calls[_cls] += 1
             return _orig(self, *args)
         monkeypatch.setattr(cls, "__call__", counted)
     return calls
@@ -436,6 +442,52 @@ def test_fused_evaluate_computes_each_result_once(dataset, monkeypatch):
     # per branch per chunk: the aligned reference, scored as the
     # synthesis stage, and the moved reference, which feeds registration
     assert calls[SynthNet] == 2 * n_branches * n_chunks
+
+
+def test_dual_branches_run_off_the_main_thread_on_one_blas_thread():
+    libs = ddmc.kernels._openblas()
+    before = [get() for get, _ in libs]
+    main = threading.get_ident()
+    got = ddmc.pipeline._per_branch(
+        tiny_plan(), lambda b: (b, threading.get_ident(),
+                                [get() for get, _ in libs]))
+    assert list(got) == ["image", "kspace"]
+    for b, (name, ident, counts) in got.items():
+        assert name == b and ident != main
+        assert counts == [1] * len(libs)
+    assert [get() for get, _ in libs] == before
+    # one branch runs in the calling thread, BLAS untouched
+    got = ddmc.pipeline._per_branch(
+        tiny_plan(domain_mode="kspace"),
+        lambda b: (threading.get_ident(), [get() for get, _ in libs]))
+    assert got == {"kspace": (main, before)}
+
+
+def test_threaded_dual_evaluate_equals_sequential(dataset, monkeypatch):
+    plan = tiny_plan(reg_refine_iters=2)
+    checkpoints = train_stages(STAGES, dataset, plan, {}, 4, None, None)
+    threads = threading.active_count()
+    # switch threads often, so the branches interleave finely
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threaded = evaluate(checkpoints, dataset, "test", plan,
+                            with_outputs=True)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads
+    monkeypatch.setattr(ddmc.pipeline, "_per_branch",
+                        lambda plan, fn: {b: fn(b) for b in plan.branches()})
+    sequential = evaluate(checkpoints, dataset, "test", plan,
+                          with_outputs=True)
+    assert threaded.per_record == sequential.per_record
+    assert threaded.aggregates == sequential.aggregates
+    assert len(threaded.outputs) == len(sequential.outputs)
+    for got, want in zip(threaded.outputs, sequential.outputs):
+        assert list(got) == list(want)
+        for name in want:
+            assert got[name].dtype == want[name].dtype
+            assert got[name].tobytes() == want[name].tobytes(), name
 
 
 def test_evaluate_missing_checkpoint_raises(dataset):
