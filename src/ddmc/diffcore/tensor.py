@@ -3,7 +3,9 @@
 A Tensor wraps an ndarray plus a grad accumulator and remembers the
 op that produced it as a backward closure.  Calling backward() on a
 scalar output topologically sorts the graph and pushes gradients to
-every tensor that requires them.  Ops are module-level functions; the
+every tensor that requires them; backward_split does the same in one
+job per given root, so that disjoint subgraphs, such as two nets that
+meet only in the loss, can backpropagate at once.  Ops are module-level functions; the
 set is deliberately small (exactly what the networks and losses need)
 and every op validates shapes eagerly, naming the offending axis.
 
@@ -50,31 +52,9 @@ class Tensor:
 
     def backward(self):
         """Backpropagate from a scalar output through the graph."""
-        if self.data.size != 1:
-            raise GraphError("backward() needs a scalar output, got shape %s"
-                             % (self.shape,))
-        if not self.requires_grad:
-            raise GraphError("backward() on a tensor with no trainable "
-                             "ancestors")
-        topo = []
-        seen = set()
-        stack = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                topo.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if p.requires_grad and id(p) not in seen:
-                    stack.append((p, False))
+        order = _backward_order(self)
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None:
-                node._backward(node.grad)
+        _run_nodes(order)
 
     # Arithmetic sugar; the real work is in the module-level ops.
     def __add__(self, other):
@@ -105,6 +85,83 @@ class Tensor:
     def __repr__(self):
         return "Tensor(shape=%s, dtype=%s, requires_grad=%s)" % (
             self.shape, self.data.dtype, self.requires_grad)
+
+
+def _backward_order(loss):
+    """The nodes loss's gradient reaches, in the order backward runs
+    them: every node after all of its consumers."""
+    if loss.data.size != 1:
+        raise GraphError("backward() needs a scalar output, got shape %s"
+                         % (loss.shape,))
+    if not loss.requires_grad:
+        raise GraphError("backward() on a tensor with no trainable "
+                         "ancestors")
+    topo = []
+    seen = set()
+    stack = [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if p.requires_grad and id(p) not in seen:
+                stack.append((p, False))
+    topo.reverse()
+    return topo
+
+
+def _run_nodes(nodes):
+    for node in nodes:
+        if node._backward is not None:
+            node._backward(node.grad)
+
+
+def backward_split(loss, roots, run):
+    """Backpropagate from a scalar loss, each root's subgraph as one job.
+
+    The loss head (the nodes that are no root's ancestors) runs first,
+    on the calling thread.  Then run(jobs) gets one zero-argument
+    callable per root, which backpropagates through that root and its
+    ancestors; run must call each once and return when all are done, in
+    any order or at once.  Every node runs in its place in
+    Tensor.backward's order and sums its gradient contributions in the
+    same order, so the gradients are bit-equal to loss.backward().
+
+    Raises GraphError if a root is not in the loss's graph, if two roots
+    share an ancestor (such as one net serving both) or one is the
+    other's, or if the head reads a node inside a root's subgraph other
+    than the root itself.
+    """
+    order = _backward_order(loss)
+    reached = {id(n) for n in order}
+    if not all(id(r) in reached for r in roots):
+        raise GraphError("backward_split: a root is not in the loss's graph")
+    owner = {id(r): k for k, r in enumerate(roots)}  # node -> its root
+    for node in order:
+        k = owner.get(id(node))
+        if k is None:
+            continue
+        for p in node._parents:
+            if p.requires_grad and owner.setdefault(id(p), k) != k:
+                raise GraphError("backward_split: roots %d and %d share an "
+                                 "ancestor" % (owner[id(p)], k))
+    head = [n for n in order if id(n) not in owner]
+    for node in head:
+        for p in node._parents:
+            k = owner.get(id(p))
+            if k is not None and p is not roots[k]:
+                raise GraphError("backward_split: the loss head reads a "
+                                 "node inside root %d's subgraph" % k)
+    loss.grad = np.ones_like(loss.data)
+    _run_nodes(head)
+    parts = [[n for n in order if owner.get(id(n)) == k]
+             for k in range(len(roots))]
+    run([lambda nodes=nodes: _run_nodes(nodes) for nodes in parts])
 
 
 def _accum(t, g):

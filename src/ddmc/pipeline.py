@@ -29,6 +29,15 @@ losses).  Both branches run the same stage code; one per-branch table,
 _BRANCHES, holds all that differs between them: the record fields of a
 branch's inputs and its maps to image space and to k-space.
 
+Under dual the two branches run at once (_per_branch, _in_threads), one
+OpenBLAS thread each: every forward-only pass, and each synthesis and
+reconstruction training or validation step, whose forward passes run
+at once, then the loss head that joins them, then the branches'
+backward passes at once (backward_split).  Each branch owns its nets,
+so the threads write disjoint state and outputs stay byte-identical to
+a sequential run.  Registration trains its branches one after the
+other: one RegNet serves both.
+
 Stage training fixes to the acquisition the networks will see at
 inference (moved reference, zero-filled fixed image) while the losses
 compare against motion-free ground truth; the synthesis stage itself
@@ -46,7 +55,8 @@ import numpy as np
 
 from .acquisition import data_consistency_channels, make_mask
 from .datagen import Dataset
-from .diffcore import AdamState, ParamSet, Tensor, adam_step, warp_rigid
+from .diffcore import (AdamState, ParamSet, Tensor, adam_step,
+                       backward_split, warp_rigid)
 from .errors import (CheckpointIntegrityError, NonFiniteLossError,
                      StageOrderError, TruncatedFileError, ValidationError)
 from .evalkit import metrics as _metrics
@@ -424,22 +434,39 @@ def _frozen_synth(net, x):
     return _apply_chunked(lambda a: net(Tensor(a)).data, x)
 
 
-def _per_branch(plan, fn):
-    """{branch: fn(branch)} for the plan's branches.
+def _in_threads(jobs):
+    """The results of zero-argument callables, in order.
 
-    Under dual the two calls run at once, in two threads, with OpenBLAS
-    held at one thread each so the branches share the cores instead of
-    oversubscribing them.  fn must only read shared state and return its
-    result; the caller stores it.  The pool lives only for this call, so
-    no thread outlives it into a forked ablation worker.
+    The calling thread runs the first job and a pool thread each other
+    one, all at once, with OpenBLAS held at one thread so they share the
+    cores instead of oversubscribing them; a single job runs alone, BLAS
+    untouched.  The caller takes a job itself so that its heap stays
+    warm for the work it does alone between calls, such as training
+    registration; with every job in a pool thread, that work pays page
+    faults for memory the pool threads' heaps now hold.  The pool lives
+    only for this call and joins its threads before it returns or
+    raises, so no thread outlives it into a forked ablation worker, and
+    an error raised in a job reaches the caller.
     """
-    branches = plan.branches()
-    if len(branches) == 1:
-        return {branches[0]: fn(branches[0])}
+    if len(jobs) == 1:
+        return [jobs[0]()]
     # imported here, as the process pool is, to keep the import light
     from concurrent.futures import ThreadPoolExecutor
-    with blas_threads(1), ThreadPoolExecutor(len(branches)) as pool:
-        return dict(zip(branches, pool.map(fn, branches)))
+    with blas_threads(1), ThreadPoolExecutor(len(jobs) - 1) as pool:
+        rest = [pool.submit(job) for job in jobs[1:]]
+        first = jobs[0]()
+        return [first] + [f.result() for f in rest]
+
+
+def _per_branch(plan, fn):
+    """{branch: fn(branch)} for the plan's branches, through _in_threads,
+    so under dual the two calls run at once.  fn may read shared state
+    but write only its own branch's nets' state (such as batchnorm
+    running statistics); it returns its result and the caller stores
+    it."""
+    branches = plan.branches()
+    return dict(zip(branches, _in_threads([lambda b=b: fn(b)
+                                           for b in branches])))
 
 
 def add_stage_outputs(stage, plan, nets, table):
@@ -513,8 +540,12 @@ def forward_stage(stage, plan, nets, batch):
     if stage not in STAGES:
         raise ValidationError("unknown stage %r, expected one of %s"
                               % (stage, ", ".join(STAGES)))
-    return {b: _forward_branch(stage, b, nets, batch)
-            for b in plan.branches()}
+    if stage == "registration":
+        # one RegNet serves both branches, and its batchnorm running
+        # statistics update in call order
+        return {b: _forward_branch(stage, b, nets, batch)
+                for b in plan.branches()}
+    return _per_branch(plan, lambda b: _forward_branch(stage, b, nets, batch))
 
 
 def _forward_branch(stage, b, nets, batch):
@@ -534,11 +565,12 @@ def _forward_branch(stage, b, nets, batch):
 
 
 def _batch_loss(stage, plan, nets, batch):
+    """forward_stage's outputs on one batch and their StageLossReport."""
     outputs = forward_stage(stage, plan, nets, batch)
     gt = {b: Tensor(batch["gt_" + b]) for b in plan.branches()}
-    return stage_loss(stage, outputs, gt, plan.weights,
-                      domain_mode=plan.domain_mode,
-                      image_loss=plan.image_loss)
+    return outputs, stage_loss(stage, outputs, gt, plan.weights,
+                               domain_mode=plan.domain_mode,
+                               image_loss=plan.image_loss)
 
 
 def _n_rows(arrays):
@@ -551,7 +583,7 @@ def _validation_loss(stage, plan, nets, stage_in):
     n = _n_rows(stage_in)
     total = 0.0
     for rows in _batched(np.arange(n), plan.batch_size):
-        rep = _batch_loss(stage, plan, nets, _take(stage_in, rows))
+        _, rep = _batch_loss(stage, plan, nets, _take(stage_in, rows))
         total += rep.total * len(rows)
     for net in nets.values():
         net.train_mode()
@@ -652,9 +684,15 @@ def train_stage(stage, tables, plan, checkpoints, seed, out_dir, run_log):
                              plan.batch_size):
             for ps, _ in opt:
                 ps.zero_grads()
-            rep = _batch_loss(stage, plan, nets, _take(train_in, rows))
+            outputs, rep = _batch_loss(stage, plan, nets,
+                                       _take(train_in, rows))
             _check_finite(rep.total, "training", stage, epoch, step)
-            rep.total_node.backward()
+            if stage == "registration":
+                # one RegNet serves both branches
+                rep.total_node.backward()
+            else:
+                backward_split(rep.total_node, list(outputs.values()),
+                               _in_threads)
             for ps, st in opt:
                 adam_step(ps, st)
             if run_log is not None:

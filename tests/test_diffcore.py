@@ -1,13 +1,17 @@
 """Autodiff core: gradient checks, optimizer closed forms, serialization."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from ddmc.diffcore import (AdamState, ParamSet, Tensor, adam_step,
-                           batchnorm2d, concat_channels, conv2d,
+                           backward_split, batchnorm2d, concat_channels,
+                           conv2d,
                            fully_connected, grad_check, magnitude_channels,
                            maxpool2x2, mean_all, mse, relu, reshape,
-                           scale_by, sum_all, upsample2x)
+                           mul, scale_by, sum_all, upsample2x)
 from ddmc.diffcore.init import bn_param, conv_param, fc_param
 from ddmc.diffcore.tensor import warp_rigid
 from ddmc.errors import (GraphError, OptimizerError, ParamError,
@@ -52,6 +56,101 @@ def test_grad_accumulates_across_reuse():
     y = sum_all(x + x)
     y.backward()
     assert np.allclose(x.grad, 2.0)
+
+
+def branch_net(x, params):
+    """A two-level U-Net in miniature: h feeds both the down path and
+    the skip, so it collects two gradient contributions."""
+    w1, b1, w2, b2, w3, b3 = params
+    h = relu(conv2d(x, w1, b1))
+    d = upsample2x(maxpool2x2(conv2d(h, w2, b2)))
+    return conv2d(concat_channels([h, d]), w3, b3)
+
+
+def two_branch_graph(dtype, rng):
+    """Two nets that meet only in a loss head.  The head reads both
+    outputs several times: direct terms, cross terms as stage_loss
+    forms them, and one term that couples the branches.  Returns
+    (loss, the two outputs, the trainable leaves)."""
+    def arr(*shape):
+        return rng.standard_normal(shape).astype(dtype)
+
+    nets = [[Tensor(arr(*s), requires_grad=True)
+             for s in ((3, 2, 3, 3), (3,), (3, 3, 3, 3), (3,), (2, 6, 3, 3),
+                       (2,))] for _ in range(2)]
+    outs = [branch_net(Tensor(arr(2, 2, 4, 4)), p) for p in nets]
+    a, b = outs
+    ga, gb = Tensor(arr(2, 2, 4, 4)), Tensor(arr(2, 2, 4, 4))
+    plane = arr(1, 1, 4, 1)
+    loss = (mse(a, ga) + 0.5 * mse(b, gb)
+            + 0.7 * (mse(scale_by(b, plane), ga) + mse(scale_by(a, plane), gb))
+            + 0.3 * mean_all(mul(a, b)))
+    return loss, outs, [t for p in nets for t in p]
+
+
+def run_in_order(jobs):
+    for job in jobs:
+        job()
+
+
+def run_reversed(jobs):
+    for job in reversed(jobs):
+        job()
+
+
+def run_threaded(jobs):
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(len(jobs)) as pool:
+            for f in [pool.submit(job) for job in jobs]:
+                f.result()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("run", [run_in_order, run_reversed, run_threaded])
+def test_backward_split_equals_backward_bitwise(dtype, run):
+    loss, _, leaves = two_branch_graph(dtype, np.random.default_rng(21))
+    loss.backward()
+    want = [t.grad.copy() for t in leaves]
+    # a fresh graph over the same leaves, from zeroed accumulators
+    loss, outs, leaves = two_branch_graph(dtype, np.random.default_rng(21))
+    backward_split(loss, outs, run)
+    for got, w in zip(leaves, want):
+        assert got.grad.dtype == w.dtype
+        assert got.grad.tobytes() == w.tobytes()
+
+
+def test_backward_split_refuses_roots_that_are_not_disjoint():
+    rng = np.random.default_rng(22)
+    x = Tensor(rng.standard_normal((1, 2, 4, 4)))
+    w = Tensor(rng.standard_normal((2, 2, 3, 3)), requires_grad=True)
+    b1, b2 = (Tensor(np.zeros(2), requires_grad=True) for _ in range(2))
+
+    def refused(loss, roots):
+        jobs = []
+        with pytest.raises(GraphError):
+            backward_split(loss, roots, jobs.extend)
+        # refused before any node ran
+        assert jobs == []
+        for t in (w, b1, b2):
+            assert not t.grad.any()
+
+    # one trainable weight serves both roots, as one RegNet serves both
+    # branches of registration
+    r1, r2 = conv2d(x, w, b1), conv2d(x, w, b2)
+    refused(mse(r1, r2), [r1, r2])
+    # one root is the other's ancestor
+    r2 = relu(r1)
+    refused(sum_all(r1 + r2), [r1, r2])
+    # the head reads inside a root's subgraph
+    h = conv2d(x, w, b1)
+    r1 = relu(h)
+    refused(sum_all(r1 + h), [r1])
+    # a root the loss does not reach
+    refused(sum_all(relu(h)), [r1, conv2d(x, w, b2)])
 
 
 @pytest.mark.parametrize("trial", range(5))

@@ -16,7 +16,7 @@ from ddmc.datagen import Dataset, build_dataset
 import ddmc.kernels
 import ddmc.pipeline
 from ddmc.errors import (CheckpointIntegrityError, MaskBudgetError,
-                         NonFiniteLossError, StageOrderError,
+                         NonFiniteLossError, ShapeError, StageOrderError,
                          TruncatedFileError, ValidationError)
 from ddmc.evalkit import psnr
 from ddmc.models import RegNet, SynthNet
@@ -323,13 +323,26 @@ def test_early_stop_keeps_best_epoch(dataset):
     assert ck.finalised
 
 
-# (split, record, loss kind, step named, steps taken): the poisoned
-# training record sits in the second batch of epoch 0; a poisoned
-# validation record fails the epoch after both of its steps
-@pytest.mark.parametrize("split,index,kind,step,taken", [
-    ("train", 1, "training", 1, 1), ("val", 0, "validation", 1, 2)])
-def test_nonfinite_loss_fails_loudly(dataset, tmp_path, monkeypatch, split,
-                                     index, kind, step, taken):
+# (stage, domain mode, split, record, loss kind, step named, steps
+# taken): the poisoned training record sits in the second batch of
+# epoch 0; a poisoned validation record fails the epoch after both of
+# its steps.  Under dual both branches train at once.
+@pytest.mark.parametrize("stage,domain_mode,split,index,kind,step,taken", [
+    pytest.param("reconstruction", "image", "train", 1, "training", 1, 1,
+                 id="train-1-training-1-1"),
+    pytest.param("reconstruction", "image", "val", 0, "validation", 1, 2,
+                 id="val-0-validation-1-2"),
+    pytest.param("reconstruction", "dual", "train", 1, "training", 1, 1,
+                 id="dual-reconstruction-train"),
+    pytest.param("reconstruction", "dual", "val", 0, "validation", 1, 2,
+                 id="dual-reconstruction-val"),
+    pytest.param("synthesis", "dual", "train", 0, "training", 1, 1,
+                 id="dual-synthesis-train"),
+    pytest.param("synthesis", "dual", "val", 1, "validation", 1, 2,
+                 id="dual-synthesis-val")])
+def test_nonfinite_loss_fails_loudly(dataset, tmp_path, monkeypatch, stage,
+                                     domain_mode, split, index, kind, step,
+                                     taken):
     # one NaN pixel in one record's target makes that record's losses NaN
     ds = copy.deepcopy(dataset)
     ds.split(split)[index].tgt.real.data[10, 10] = np.nan
@@ -337,18 +350,22 @@ def test_nonfinite_loss_fails_loudly(dataset, tmp_path, monkeypatch, split,
     adam_step = ddmc.pipeline.adam_step
     monkeypatch.setattr(ddmc.pipeline, "adam_step",
                         lambda *a: steps.append(1) or adam_step(*a))
+    plan = tiny_plan(contrast_mode="fused" if stage == "synthesis"
+                     else "single", domain_mode=domain_mode)
     out = str(tmp_path / "run")
+    threads = threading.active_count()
     with pytest.raises(NonFiniteLossError) as exc:
-        train_one("reconstruction", ds,
-                  tiny_plan(contrast_mode="single", domain_mode="image"),
-                  0, out_dir=out, run_log=RunLog(out))
-    assert ("stage 'reconstruction', epoch 0, step %d: %s loss is nan"
-            % (step, kind)) == str(exc.value)
-    # the failing step took no optimiser step and logged no row
+        train_one(stage, ds, plan, 0, out_dir=out, run_log=RunLog(out))
+    assert threading.active_count() == threads
+    assert ("stage %r, epoch 0, step %d: %s loss is nan"
+            % (stage, step, kind)) == str(exc.value)
+    # the failing step took no optimiser step and logged no row; one
+    # Adam step per net
+    n_nets = len(plan.branches())
     logged = len(read_rows(os.path.join(out, "train_steps.csv"))) - 1
-    assert len(steps) == logged == taken
+    assert len(steps) == n_nets * logged == n_nets * taken
     assert len(read_rows(os.path.join(out, "val_epochs.csv"))) == 1
-    assert not os.path.exists(os.path.join(out, "reconstruction.ckpt"))
+    assert not os.path.exists(os.path.join(out, stage + ".ckpt"))
 
 
 def test_full_sampling_reconstructs_exactly(dataset):
@@ -444,18 +461,22 @@ def test_fused_evaluate_computes_each_result_once(dataset, monkeypatch):
     assert calls[SynthNet] == 2 * n_branches * n_chunks
 
 
-def test_dual_branches_run_off_the_main_thread_on_one_blas_thread():
+def test_dual_branches_run_in_two_threads_on_one_blas_thread():
     libs = ddmc.kernels._openblas()
     before = [get() for get, _ in libs]
     main = threading.get_ident()
+    threads = threading.active_count()
     got = ddmc.pipeline._per_branch(
         tiny_plan(), lambda b: (b, threading.get_ident(),
                                 [get() for get, _ in libs]))
     assert list(got) == ["image", "kspace"]
+    # the calling thread runs the first branch, a pool thread the other
+    assert got["image"][1] == main != got["kspace"][1]
     for b, (name, ident, counts) in got.items():
-        assert name == b and ident != main
+        assert name == b
         assert counts == [1] * len(libs)
     assert [get() for get, _ in libs] == before
+    assert threading.active_count() == threads
     # one branch runs in the calling thread, BLAS untouched
     got = ddmc.pipeline._per_branch(
         tiny_plan(domain_mode="kspace"),
@@ -488,6 +509,60 @@ def test_threaded_dual_evaluate_equals_sequential(dataset, monkeypatch):
         for name in want:
             assert got[name].dtype == want[name].dtype
             assert got[name].tobytes() == want[name].tobytes(), name
+
+
+def test_threaded_dual_training_equals_sequential(dataset, tmp_path,
+                                                 monkeypatch):
+    plan = tiny_plan(reg_refine_iters=2)
+    jobs = []
+    in_threads = ddmc.pipeline._in_threads
+    monkeypatch.setattr(ddmc.pipeline, "_in_threads",
+                        lambda fns: jobs.append(len(fns)) or in_threads(fns))
+    outs = {}
+    for name in ("threaded", "sequential"):
+        out = outs[name] = str(tmp_path / name)
+        threads = threading.active_count()
+        # switch threads often, so the branches interleave finely
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            train_stages(STAGES, dataset, plan, {}, 4, out, RunLog(out))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads
+        monkeypatch.setattr(ddmc.pipeline, "_per_branch",
+                            lambda plan, fn: {b: fn(b)
+                                              for b in plan.branches()})
+        monkeypatch.setattr(ddmc.pipeline, "_in_threads",
+                            lambda fns: [fn() for fn in fns])
+    # the threaded run put every dual step's two branches in two threads
+    assert jobs and set(jobs) == {2}
+    for name in ("synthesis.ckpt", "registration.ckpt",
+                 "reconstruction.ckpt", "train_steps.csv",
+                 "val_epochs.csv"):
+        got = open(os.path.join(outs["threaded"], name), "rb").read()
+        want = open(os.path.join(outs["sequential"], name), "rb").read()
+        assert got == want, name
+
+
+def test_error_in_a_branch_thread_reaches_the_caller(dataset, monkeypatch):
+    # the k-space branch's reconstruction input loses a channel
+    stage_inputs = ddmc.pipeline.compute_stage_inputs
+
+    def short_kspace_input(stage, plan, table):
+        out = stage_inputs(stage, plan, table)
+        out["in_kspace"] = out["in_kspace"][:, :1]
+        return out
+    monkeypatch.setattr(ddmc.pipeline, "compute_stage_inputs",
+                        short_kspace_input)
+    threads = threading.active_count()
+    with pytest.raises(ShapeError) as exc:
+        train_one("reconstruction", dataset,
+                  tiny_plan(contrast_mode="single"), 0)
+    assert str(exc.value) == "reconstruction net expects 2 channels, got 1"
+    # raised in a pool thread, then joined
+    assert any("concurrent" in str(entry.path) for entry in exc.traceback)
+    assert threading.active_count() == threads
 
 
 def test_evaluate_missing_checkpoint_raises(dataset):
