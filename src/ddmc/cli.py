@@ -19,6 +19,7 @@ from .config import default_text, load_config
 from .datagen import Dataset, build_dataset
 from .errors import DdmcError, RecordFormatError, ValidationError
 from .evalkit import render_report
+from .kernels import steady_heap
 from .pipeline import (AGGREGATE_COLUMNS, Checkpoint, RECORD_METRIC_COLUMNS,
                        RunLog, STAGES, cell_name, cell_plans, evaluate,
                        run_ablation, train_stages, write_csv)
@@ -228,7 +229,7 @@ def _cmd_ablate(args):
     plans = cell_plans(cfg.stage_plan(), _parse_grid(args.grid))
     # DDMC_THREADS caps the worker processes; the default is one per cell
     workers = os.environ.get("DDMC_THREADS") or str(len(plans))
-    if not workers.isdigit() or int(workers) < 1:
+    if not workers.isdecimal() or int(workers) < 1:
         raise ValidationError("DDMC_THREADS must be an integer >= 1, got %r"
                               % workers)
     _no_clobber(args, [os.path.join(args.out, name)
@@ -269,6 +270,7 @@ _COMMANDS = {
 
 
 def main(argv=None):
+    steady_heap()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

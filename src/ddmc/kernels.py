@@ -4,7 +4,8 @@ Array-in / array-out numpy functions that the autodiff ops in diffcore
 wrap.  The conv, pool and warp forwards validate their input shapes;
 each backward takes the shapes its forward accepted.  Convolutions are
 stride-1, same-padded, odd square kernels only.  blas_threads sets the
-thread count of the OpenBLAS behind numpy's matrix products for a block.
+thread count of the OpenBLAS behind numpy's matrix products for a block,
+and steady_heap sets how glibc's malloc keeps and returns memory.
 """
 
 import contextlib
@@ -46,10 +47,10 @@ def conv2d_forward(x, w, b):
 
 
 # Byte budget of one conv workspace: an im2col slab, or the padded
-# input and tap products of the output side.  A workspace above glibc's
-# mmap threshold is mapped fresh and page-faulted in on every call; a
-# few MB stays in reused heap memory and is as fast as any larger
-# budget measured.
+# input and tap products of the output side.  It stays well under the
+# mmap threshold that steady_heap sets, so workspaces are reused heap
+# memory; 4 MB was as fast as any larger budget measured, and a smaller
+# one keeps the memory that a batch chunk holds small.
 _SLAB_BYTES = 4 << 20
 
 
@@ -375,3 +376,49 @@ def blas_threads(n):
     finally:
         for (_, put), k in zip(_openblas(), old):
             put(k)
+
+
+# glibc's mallopt parameters (malloc.h) and the values steady_heap sets:
+# blocks up to 32 MB, glibc's largest mmap threshold, come from the heap;
+# the heap never gives its free top back (-1 turns trimming off: with a
+# 256 MB threshold a 400 MB training heap was once trimmed to 173 MB and
+# faulted back in, 80k faults a round); it grows by 64 MB more than it
+# needs; and there are at most two arenas, one per dual branch thread.
+_HEAP_POLICY = ((-3, 32 << 20),     # M_MMAP_THRESHOLD
+                (-1, -1),           # M_TRIM_THRESHOLD
+                (-2, 64 << 20),     # M_TOP_PAD
+                (-8, 2))            # M_ARENA_MAX
+
+
+@functools.cache
+def _mallopt():
+    """The C library's mallopt, or None where it has none (outside
+    glibc).  Found on first use, so importing the package loads no
+    library."""
+    import ctypes
+    fn = getattr(ctypes.CDLL(None), "mallopt", None)
+    if fn is not None:
+        fn.argtypes, fn.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return fn
+
+
+def steady_heap():
+    """Keep freed arrays in the heap for reuse, instead of giving them
+    back to the kernel and page-faulting them in again for the next
+    layer; returns mallopt's result for each setting, 1 where it took.
+
+    Under glibc's default, sliding thresholds a training step's arrays
+    of a few MB are mapped and unmapped, or trimmed off the heap's top,
+    between layers, so a round pays tens of thousands of minor page
+    faults, a number that varies from process to process.  With the
+    policy the heap stays at the size it peaked at, which the process's
+    peak RSS counted anyway, until the process exits.  Two arenas let
+    the two branch threads allocate without waiting on one lock, and
+    the cap keeps a further thread from opening a third arena that
+    would hold its own peak.  Changes no arithmetic.  The settings
+    apply to the whole process; it does nothing outside glibc.
+    """
+    mallopt = _mallopt()
+    if mallopt is None:
+        return []
+    return [mallopt(param, value) for param, value in _HEAP_POLICY]

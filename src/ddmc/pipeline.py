@@ -48,6 +48,7 @@ the moved input is handled by equivariance.
 import csv
 import json
 import os
+import resource
 import time
 from dataclasses import dataclass, field, asdict, replace
 
@@ -62,7 +63,7 @@ from .errors import (CheckpointIntegrityError, NonFiniteLossError,
 from .evalkit import metrics as _metrics
 from .fourier import (fft2c_channels, fft2c_stack, ifft2c_channels,
                       ifft2c_stack)
-from .kernels import blas_threads, set_blas_threads
+from .kernels import blas_threads, set_blas_threads, steady_heap
 from .models import (ReconNet, ReconNetConfig, RegNet, RegNetConfig,
                      SynthNet, SynthNetConfig, register_refined)
 from .objectives import (DOMAIN_MODES, IMAGE_LOSS_KINDS, STAGES,
@@ -230,8 +231,10 @@ class RunLog:
     Opening a log for the stages a call trains drops those stages' rows
     left by an earlier run in the same directory and keeps every other
     stage's rows, so a rerun rewrites its own rows instead of appending
-    duplicates.  Loss values land in deterministic CSVs; wall-clock time
-    goes only into run.json so reruns stay byte-comparable on the CSVs.
+    duplicates.  Loss values land in deterministic CSVs; wall-clock time,
+    the process's peak RSS and the minor page faults since the log was
+    opened go only into run.json so reruns stay byte-comparable on the
+    CSVs.
     """
 
     STEP_COLUMNS = ("step", "stage", "mode", "L_i", "L_k", "L_ik", "L_ki",
@@ -244,6 +247,7 @@ class RunLog:
         self.step_path = os.path.join(out_dir, "train_steps.csv")
         self.epoch_path = os.path.join(out_dir, "val_epochs.csv")
         self._t0 = time.time()
+        self._faults0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         for path, columns in ((self.step_path, self.STEP_COLUMNS),
                               (self.epoch_path, self.EPOCH_COLUMNS)):
             col = columns.index("stage")
@@ -273,8 +277,12 @@ class RunLog:
             csv.writer(f).writerow((stage, epoch, self._fmt(val_loss)))
 
     def finish(self, seed, config):
+        usage = resource.getrusage(resource.RUSAGE_SELF)
         payload = {"seed": seed, "config": config,
-                   "wall_clock_s": time.time() - self._t0}
+                   "wall_clock_s": time.time() - self._t0,
+                   # ru_maxrss is in KB on Linux
+                   "peak_rss_mb": usage.ru_maxrss / 1024.0,
+                   "minor_page_faults": usage.ru_minflt - self._faults0}
         with open(os.path.join(self.out_dir, "run.json"), "w") as f:
             json.dump(payload, f, sort_keys=True, indent=1)
 
@@ -443,7 +451,9 @@ def _in_threads(jobs):
     untouched.  The caller takes a job itself so that its heap stays
     warm for the work it does alone between calls, such as training
     registration; with every job in a pool thread, that work pays page
-    faults for memory the pool threads' heaps now hold.  The pool lives
+    faults for memory the pool threads' heaps now hold.  (Under the
+    CLI's heap policy, kernels.steady_heap, the pool thread of each
+    call reuses the one other arena.)  The pool lives
     only for this call and joins its threads before it returns or
     raises, so no thread outlives it into a forked ablation worker, and
     an error raised in a job reaches the caller.
@@ -936,7 +946,9 @@ def _run_cell(args):
 
 def _share_cores(workers):
     """Start an ablation worker with its share of the cores for OpenBLAS,
-    which otherwise runs one thread per core in every worker."""
+    which otherwise runs one thread per core in every worker, and with
+    the heap policy of the CLI, which a worker not forked from it lacks."""
+    steady_heap()
     set_blas_threads(max(1, (os.cpu_count() or 1) // workers))
 
 

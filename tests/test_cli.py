@@ -234,9 +234,11 @@ def test_stage_by_stage_train_matches_stage_all(tmp_path):
             (fused_steps / name).read_bytes(), name
 
 
-def test_blas_thread_count_changes_no_output(tmp_path):
-    # train --stage all and eval write the same checkpoint and CSV bytes
-    # whether OpenBLAS runs one thread or two
+def assert_train_and_eval_agree(tmp_path, runs):
+    """Run train --stage all and eval (fused dual, 1 epoch) in a fresh
+    process per command, once per (name, command prefix, extra env) in
+    runs, and assert that every run wrote the same checkpoint and CSV
+    bytes."""
     data = tmp_path / "data"
     assert run(["gen-data", "--out", data] + FAST) == 0
     src = os.path.dirname(os.path.dirname(ddmc.__file__))
@@ -244,14 +246,14 @@ def test_blas_thread_count_changes_no_output(tmp_path):
                   "--set", "train.contrast_mode=fused",
                   "--set", "train.domain_mode=dual"]
     outs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
-        out = tmp_path / ("threads" + threads)
+    for name, prefix, environ in runs:
+        env = dict(os.environ, PYTHONPATH=src, **environ)
+        out = tmp_path / name
         for argv in (["train", "--data", data, "--out", out / "train",
                       "--stage", "all"],
                      ["eval", "--data", data, "--ckpt-dir", out / "train",
                       "--out", out / "eval"]):
-            subprocess.run([sys.executable, "-m", "ddmc.cli"]
+            subprocess.run([sys.executable] + prefix
                            + [str(a) for a in argv + cfg],
                            env=env, check=True, stdout=subprocess.DEVNULL)
         outs.append(out)
@@ -263,6 +265,24 @@ def test_blas_thread_count_changes_no_output(tmp_path):
     for name in names[0]:
         assert (outs[0] / name).read_bytes() == \
             (outs[1] / name).read_bytes(), name
+
+
+def test_blas_thread_count_changes_no_output(tmp_path):
+    # train --stage all and eval write the same checkpoint and CSV bytes
+    # whether OpenBLAS runs one thread or two
+    assert_train_and_eval_agree(tmp_path, [
+        ("threads" + n, ["-m", "ddmc.cli"], {"OPENBLAS_NUM_THREADS": n})
+        for n in ("1", "2")])
+
+
+def test_heap_policy_changes_no_output(tmp_path):
+    # train --stage all and eval write the same checkpoint and CSV bytes
+    # with the CLI's heap policy and with glibc's defaults
+    default_heap = ("import sys, ddmc.cli as c; c.steady_heap = lambda: []; "
+                    "sys.exit(c.main(sys.argv[1:]))")
+    assert_train_and_eval_agree(tmp_path, [
+        ("policy", ["-m", "ddmc.cli"], {}),
+        ("default", ["-c", default_heap], {})])
 
 
 def test_ablate_cell_matches_train_and_eval_with_blas_unset(tmp_path):
@@ -320,7 +340,8 @@ def test_cli_import_leaves_scipy_out():
     assert got.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("threads", ["abc", "0"])
+# "²" passes str.isdigit() but not int()
+@pytest.mark.parametrize("threads", ["abc", "0", "²"])
 def test_bad_ddmc_threads_refuses_ablation_before_writing(
         tmp_path, capsys, monkeypatch, threads):
     monkeypatch.setenv("DDMC_THREADS", threads)

@@ -1,9 +1,18 @@
 """Kernel correctness against brute-force loop oracles."""
 
+import ctypes
+import os
+import subprocess
+import sys
+import types
+
 import numpy as np
 import pytest
 
+import ddmc
+import ddmc.cli
 import ddmc.kernels
+import ddmc.pipeline
 from ddmc.errors import ShapeError
 from ddmc.kernels import (conv2d_forward, conv2d_grad_input,
                           conv2d_grad_weights, maxpool2x2_backward,
@@ -503,3 +512,59 @@ def test_blas_threads_without_openblas_does_nothing(monkeypatch):
         assert blas_counts(libs) == before
     assert ddmc.kernels.set_blas_threads(1) == []
     assert blas_counts(libs) == before
+
+
+def fake_libc(monkeypatch, **symbols):
+    """Make the C library that steady_heap finds one with just these
+    symbols, looked up afresh on every call."""
+    monkeypatch.setattr(ctypes, "CDLL",
+                        lambda name: types.SimpleNamespace(**symbols))
+    monkeypatch.setattr(ddmc.kernels, "_mallopt",
+                        ddmc.kernels._mallopt.__wrapped__)
+
+
+def test_steady_heap_sets_each_threshold_and_the_arena_cap(monkeypatch):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+    fake_libc(monkeypatch, mallopt=mallopt)
+    assert ddmc.kernels.steady_heap() == [1, 1, 1, 1]
+    # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD, M_TOP_PAD, M_ARENA_MAX
+    assert calls == [(-3, 32 << 20), (-1, -1), (-2, 64 << 20),
+                     (-8, 2)]
+
+
+def test_steady_heap_without_mallopt_does_nothing(monkeypatch):
+    fake_libc(monkeypatch, malloc=None)
+    assert ddmc.kernels.steady_heap() == []
+
+
+def test_steady_heap_takes_each_setting_here():
+    if ddmc.kernels._mallopt() is None:
+        pytest.skip("the C library here has no mallopt")
+    assert ddmc.kernels.steady_heap() == [1, 1, 1, 1]
+
+
+def test_cli_import_sets_no_heap_policy():
+    # steady_heap reaches mallopt only through _mallopt, so a lookup
+    # cache never called means no mallopt call
+    src = os.path.dirname(os.path.dirname(ddmc.__file__))
+    code = ("import ddmc.cli, ddmc.kernels; "
+            "print(ddmc.kernels._mallopt.cache_info().misses)")
+    got = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert got.stdout.strip() == "0"
+
+
+def test_cli_and_ablation_workers_set_the_heap_policy(monkeypatch, capsys):
+    calls = []
+    for module in (ddmc.cli, ddmc.pipeline):
+        monkeypatch.setattr(module, "steady_heap",
+                            lambda m=module.__name__: calls.append(m))
+    monkeypatch.setattr(ddmc.pipeline, "set_blas_threads", lambda n: [])
+    assert ddmc.cli.main(["--print-defaults"]) == 0
+    ddmc.pipeline._share_cores(2)
+    assert calls == ["ddmc.cli", "ddmc.pipeline"]

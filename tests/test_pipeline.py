@@ -293,11 +293,12 @@ def test_rerun_determinism(dataset, tmp_path):
         a = open(os.path.join(outs[0], name), "rb").read()
         b = open(os.path.join(outs[1], name), "rb").read()
         assert a == b, name
-    # run.json differs only by wall clock
+    # run.json differs only by wall clock and memory use
     ra = json.load(open(os.path.join(outs[0], "run.json")))
     rb = json.load(open(os.path.join(outs[1], "run.json")))
-    ra.pop("wall_clock_s")
-    rb.pop("wall_clock_s")
+    for r in (ra, rb):
+        for key in ("wall_clock_s", "peak_rss_mb", "minor_page_faults"):
+            r.pop(key)
     assert ra == rb
 
 
