@@ -98,16 +98,16 @@ def make_mask(height, acceleration, n_center=CENTER_ROWS, sigma_frac=0.25,
     if not 0 < sigma_frac <= 1:
         raise ValidationError("sigma_frac must lie in (0, 1], got %r"
                               % sigma_frac)
+    if n_center < 0:
+        raise ValidationError("n_center must be >= 0, got %d" % n_center)
     budget = height // acceleration
     if budget < n_center:
         raise MaskBudgetError(
             "floor(%d/%d) = %d rows cannot cover the %d-row centre block"
             % (height, acceleration, budget, n_center))
+    # 0 <= n_center <= budget <= height, so the block lies in the grid
     lo = height // 2 - n_center // 2
     hi = lo + n_center
-    if lo < 0 or hi > height:
-        raise MaskBudgetError("centre block [%d, %d) exceeds the grid"
-                              % (lo, hi))
     sampled = np.zeros(height, dtype=bool)
     sampled[lo:hi] = True
 

@@ -48,22 +48,21 @@ class ComplexImage:
         return np.stack([self.real.data, self.imag.data]).astype(np.float32)
 
 
-def _fft2c_arrays(re, im):
-    z = re + 1j * im
-    z = np.fft.ifftshift(z, axes=(-2, -1))
-    z = np.fft.fft2(z, axes=(-2, -1), norm="ortho")
-    z = np.fft.fftshift(z, axes=(-2, -1))
+def _centred(fft2, re, im):
+    """fftshift . fft2 (orthonormal) . ifftshift of re + i im, back as a
+    (real, imag) pair in re's dtype."""
+    z = np.fft.ifftshift(re + 1j * im, axes=(-2, -1))
+    z = np.fft.fftshift(fft2(z, axes=(-2, -1), norm="ortho"), axes=(-2, -1))
     return (np.ascontiguousarray(z.real.astype(re.dtype)),
             np.ascontiguousarray(z.imag.astype(re.dtype)))
+
+
+def _fft2c_arrays(re, im):
+    return _centred(np.fft.fft2, re, im)
 
 
 def _ifft2c_arrays(re, im):
-    z = re + 1j * im
-    z = np.fft.ifftshift(z, axes=(-2, -1))
-    z = np.fft.ifft2(z, axes=(-2, -1), norm="ortho")
-    z = np.fft.fftshift(z, axes=(-2, -1))
-    return (np.ascontiguousarray(z.real.astype(re.dtype)),
-            np.ascontiguousarray(z.imag.astype(re.dtype)))
+    return _centred(np.fft.ifft2, re, im)
 
 
 def _on_planes(x, transform):

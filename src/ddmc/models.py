@@ -9,11 +9,13 @@ RegNet     rigid registration, a strided conv stack regressing
 ReconNet   reconstruction, a U-Net over the fused input channels whose
            output passes through data consistency.
 
-Networks run on [N, 2, H, W] re/im channel tensors.  Parameters live in
-a ParamSet; layers look their tensors up by name at call time, so a net
-built on loaded parameters reads them in place.  Every net first builds
-its layout with fresh parameters; loaded ones must match it name for
-name and shape for shape, in order, or the net raises ParamError.
+Networks run on [N, 2, H, W] re/im channel tensors.  A net is its
+ParamSet, config and mode.  Each layer is a pair of functions: one
+registers its tensors under a name, the other runs it on a net, looking
+them up by name at call time, so a net built on loaded parameters reads
+them in place.  Every net first builds its layout with fresh
+parameters; loaded ones must match it name for name and shape for
+shape, in order, or the net raises ParamError.
 """
 
 from dataclasses import dataclass
@@ -52,24 +54,63 @@ class ReconNetConfig:
     depth: int = 3
 
 
-class _ConvBNRelu:
-    """conv 3x3 -> batchnorm -> relu, parameters fetched by name at
-    call time so rebinding the owning net's ParamSet just works."""
+def _block_params(params, name, ci, co, rng):
+    """Register block `name`: conv 3x3 from ci to co channels, then
+    batchnorm."""
+    conv_param(params, name + ".conv", co, ci, 3, rng)
+    bn_param(params, name + ".bn", co)
 
-    def __init__(self, net, name, ci, co, rng):
-        self.net = net
-        self.name = name
-        conv_param(net.params, name + ".conv", co, ci, 3, rng)
-        bn_param(net.params, name + ".bn", co)
 
-    def __call__(self, x):
-        ps = self.net.params
-        n = self.name
-        y = conv2d(x, ps[n + ".conv.w"], ps[n + ".conv.b"])
-        y = batchnorm2d(y, ps[n + ".bn.gamma"], ps[n + ".bn.beta"],
-                        ps[n + ".bn.running_mean"],
-                        ps[n + ".bn.running_var"], self.net.training)
-        return relu(y)
+def _block(net, name, x):
+    """conv 3x3 -> batchnorm -> relu with block `name` of net's params,
+    in net's mode."""
+    ps = net.params
+    y = conv2d(x, ps[name + ".conv.w"], ps[name + ".conv.b"])
+    y = batchnorm2d(y, ps[name + ".bn.gamma"], ps[name + ".bn.beta"],
+                    ps[name + ".bn.running_mean"],
+                    ps[name + ".bn.running_var"], net.training)
+    return relu(y)
+
+
+def _unet_params(params, cin, base, depth, rng):
+    """Register a U-Net of depth resolution levels: one block per
+    encoder level enc<l>, an up<l> and a dec<l> block per decoder level,
+    and an output conv to IMAGE_CHANNELS."""
+    if depth < 2:
+        raise ValidationError("unet depth must be >= 2, got %d" % depth)
+    chans = [base * 2 ** l for l in range(depth)]
+    for l in range(depth):
+        _block_params(params, "enc%d" % l, chans[l - 1] if l else cin,
+                      chans[l], rng)
+    for l in range(depth - 2, -1, -1):
+        _block_params(params, "up%d" % l, chans[l + 1], chans[l], rng)
+        _block_params(params, "dec%d" % l, 2 * chans[l], chans[l], rng)
+    conv_param(params, "out", IMAGE_CHANNELS, base, 3, rng)
+
+
+def _unet(net, x, cin, what):
+    """The U-Net of net's params, an encoder-decoder with skip concats,
+    on x, which must have cin channels; `what` names the net in the
+    error."""
+    if x.shape[1] != cin:
+        raise ShapeError("%s net expects %d channels, got %d"
+                         % (what, cin, x.shape[1]))
+    depth = net.config.depth
+    div = 2 ** (depth - 1)
+    if x.shape[2] % div or x.shape[3] % div:
+        raise ShapeError("unet input %dx%d not divisible by %d"
+                         % (x.shape[2], x.shape[3], div))
+    skips = []
+    h = x
+    for l in range(depth):
+        if l:
+            h = maxpool2x2(h)
+        h = _block(net, "enc%d" % l, h)
+        skips.append(h)
+    for l in range(depth - 2, -1, -1):
+        h = _block(net, "up%d" % l, upsample2x(h))
+        h = _block(net, "dec%d" % l, concat_channels([h, skips[l]]))
+    return conv2d(h, net.params["out.w"], net.params["out.b"])
 
 
 def _layout_mismatch(built, loaded):
@@ -115,63 +156,16 @@ class _Network:
         return self
 
 
-class _UNet:
-    """Encoder-decoder with skip concats; depth resolution levels,
-    one conv block per encoder level, two per decoder level, and an
-    output conv to IMAGE_CHANNELS."""
-
-    def __init__(self, net, cin, base, depth, rng):
-        if depth < 2:
-            raise ValidationError("unet depth must be >= 2, got %d" % depth)
-        self.net = net
-        self.depth = depth
-        chans = [base * 2 ** l for l in range(depth)]
-        self.enc = []
-        for l in range(depth):
-            ci = cin if l == 0 else chans[l - 1]
-            self.enc.append(_ConvBNRelu(net, "enc%d" % l, ci, chans[l], rng))
-        self.up = []
-        self.dec = []
-        for l in range(depth - 2, -1, -1):
-            self.up.append(_ConvBNRelu(net, "up%d" % l,
-                                       chans[l + 1], chans[l], rng))
-            self.dec.append(_ConvBNRelu(net, "dec%d" % l,
-                                        2 * chans[l], chans[l], rng))
-        conv_param(net.params, "out", IMAGE_CHANNELS, base, 3, rng)
-
-    def __call__(self, x):
-        div = 2 ** (self.depth - 1)
-        if x.shape[2] % div or x.shape[3] % div:
-            raise ShapeError("unet input %dx%d not divisible by %d"
-                             % (x.shape[2], x.shape[3], div))
-        skips = []
-        h = x
-        for l, blk in enumerate(self.enc):
-            if l > 0:
-                h = maxpool2x2(h)
-            h = blk(h)
-            skips.append(h)
-        for i, l in enumerate(range(self.depth - 2, -1, -1)):
-            h = upsample2x(h)
-            h = self.up[i](h)
-            h = concat_channels([h, skips[l]])
-            h = self.dec[i](h)
-        ps = self.net.params
-        return conv2d(h, ps["out.w"], ps["out.b"])
-
-
 class SynthNet(_Network):
     """Reference contrast -> synthetic target contrast."""
 
     def _build(self, rng):
         c = self.config
-        self.unet = _UNet(self, IMAGE_CHANNELS, c.base_channels, c.depth, rng)
+        _unet_params(self.params, IMAGE_CHANNELS, c.base_channels, c.depth,
+                     rng)
 
     def __call__(self, x):
-        if x.shape[1] != IMAGE_CHANNELS:
-            raise ShapeError("synthesis net expects %d channels, got %d"
-                             % (IMAGE_CHANNELS, x.shape[1]))
-        return self.unet(x)
+        return _unet(self, x, IMAGE_CHANNELS, "synthesis")
 
 
 class ReconNet(_Network):
@@ -179,13 +173,11 @@ class ReconNet(_Network):
 
     def _build(self, rng):
         c = self.config
-        self.unet = _UNet(self, c.in_channels, c.base_channels, c.depth, rng)
+        _unet_params(self.params, c.in_channels, c.base_channels, c.depth,
+                     rng)
 
     def __call__(self, x):
-        if x.shape[1] != self.config.in_channels:
-            raise ShapeError("reconstruction net expects %d channels, got %d"
-                             % (self.config.in_channels, x.shape[1]))
-        return self.unet(x)
+        return _unet(self, x, self.config.in_channels, "reconstruction")
 
 
 class RegNet(_Network):
@@ -202,14 +194,12 @@ class RegNet(_Network):
         if c.in_size % 2 ** len(c.channels):
             raise ValidationError("reg net input size %d not divisible by %d"
                                   % (c.in_size, 2 ** len(c.channels)))
-        self.blocks = []
-        ci = 4
         for i, co in enumerate(c.channels):
-            self.blocks.append(_ConvBNRelu(self, "enc%d" % i, ci, co, rng))
-            ci = co
+            _block_params(self.params, "enc%d" % i,
+                          c.channels[i - 1] if i else 4, co, rng)
         side = c.in_size // 2 ** len(c.channels)
-        self.flat_dim = side * side * c.channels[-1]
-        fc_param(self.params, "fc1", c.fc_hidden, self.flat_dim, rng)
+        fc_param(self.params, "fc1", c.fc_hidden, side * side * c.channels[-1],
+                 rng)
         fc_param(self.params, "fc2", 3, c.fc_hidden, rng, zero_init=True)
 
     def __call__(self, moving, fixed):
@@ -225,9 +215,9 @@ class RegNet(_Network):
                              % (self.config.in_size, self.config.in_size,
                                 moving.shape[2], moving.shape[3]))
         h = concat_channels([moving, fixed])
-        for blk in self.blocks:
-            h = maxpool2x2(blk(h))
-        h = reshape(h, (h.shape[0], self.flat_dim))
+        for i in range(len(self.config.channels)):
+            h = maxpool2x2(_block(self, "enc%d" % i, h))
+        h = reshape(h, (h.shape[0], -1))
         ps = self.params
         h = relu(fully_connected(h, ps["fc1.w"], ps["fc1.b"]))
         return fully_connected(h, ps["fc2.w"], ps["fc2.b"])

@@ -116,6 +116,13 @@ class StagePlan:
             raise ValidationError("image_size must be a multiple of 16 so "
                                   "the registration pools land evenly, got "
                                   "%r" % self.image_size)
+        if min(self.base_channels, self.reg_fc_hidden,
+               *self.reg_channels) < 1:
+            raise ValidationError(
+                "need base_channels, every reg_channels entry and "
+                "reg_fc_hidden >= 1, got %r, %r, %r"
+                % (self.base_channels, list(self.reg_channels),
+                   self.reg_fc_hidden))
         if (self.batch_size < 1 or not self.lr > 0 or self.patience < 0
                 or any(self.max_epochs.get(s, 0) < 1 for s in STAGES)):
             raise ValidationError(

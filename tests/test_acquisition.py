@@ -71,6 +71,14 @@ def test_mask_budget_error():
         make_mask(64, 4, sigma_frac=0.0)
 
 
+def test_negative_n_center_is_refused():
+    # an empty centre block with budget - n_center drawn rows would sample
+    # 10 rows of 32 at a nominal 4x; 0 rows stays legal
+    with pytest.raises(ValidationError, match="n_center"):
+        make_mask(32, 4, n_center=-2)
+    assert make_mask(32, 4, n_center=0).sampled.sum() == 8
+
+
 def test_mask_save_load_roundtrip(tmp_path):
     m = make_mask(64, 4, seed=5)
     path = tmp_path / "mask.txt"

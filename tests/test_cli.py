@@ -331,6 +331,24 @@ def test_negative_split_count_or_blur_is_refused(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("setting", [
+    "model.base_channels=0", "model.reg_channels=0",
+    "model.reg_channels=4,-4", "model.reg_fc_hidden=-1",
+    "model.reg_fc_hidden=0", "mask.n_center=-2"])
+def test_net_size_below_one_is_refused(tmp_path, capsys, setting):
+    # a zero or negative width crashed the parameter init or built an
+    # empty layer, and a negative centre block mis-sized the mask
+    data, out = tmp_path / "data", tmp_path / "run"
+    assert run(["gen-data", "--out", data] + FAST) == 0
+    capsys.readouterr()
+    assert run(["train", "--data", data, "--out", out] + FAST
+               + ["--set", setting]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ddmc: validation:")
+    assert setting.split(".")[1].split("=")[0] in err[0]
+    assert not out.exists()
+
+
 def test_cli_import_leaves_scipy_out():
     src = os.path.dirname(os.path.dirname(ddmc.__file__))
     code = "import sys, ddmc.cli; print('scipy' in sys.modules)"

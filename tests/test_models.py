@@ -1,6 +1,8 @@
 """Networks: shapes, identity init, refinement, consistency wiring."""
 
+import gc
 import sys
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 import ddmc.kernels
 from ddmc.acquisition import make_mask
 from ddmc.config import default_config
-from ddmc.diffcore import ParamSet, Tensor, warp_rigid
+from ddmc.diffcore import ParamSet, Tensor, mean_all, warp_rigid
 from ddmc.errors import ParamError, ShapeError, ValidationError
 from ddmc.fourier import fft2c_channels, fft2c_stack, ifft2c_stack
 from ddmc.models import (ReconNet, ReconNetConfig, RegNet, RegNetConfig,
@@ -175,3 +177,68 @@ def test_eval_mode_deterministic():
     x = Tensor(np.random.default_rng(21).standard_normal((1, 2, 16, 16))
                .astype(np.float32))
     assert np.array_equal(net(x).data, net(x).data)
+
+
+def block_layout(name, ci, co):
+    """Names and shapes one conv -> batchnorm -> relu block registers."""
+    return [(name + ".conv.w", (co, ci, 3, 3)), (name + ".conv.b", (co,))] + [
+        (name + ".bn." + p, (co,))
+        for p in ("gamma", "beta", "running_mean", "running_var")]
+
+
+def test_param_layout_is_pinned():
+    # the rng draws and the checkpoint bytes follow this order
+    def layout(net):
+        return [(n, t.shape) for n, t in net.params.items()]
+
+    unet2 = (block_layout("enc0", 4, 4) + block_layout("enc1", 4, 8)
+             + block_layout("up0", 8, 4) + block_layout("dec0", 8, 4)
+             + [("out.w", (2, 4, 3, 3)), ("out.b", (2,))])
+    assert layout(ReconNet(ReconNetConfig(in_channels=4, base_channels=4,
+                                          depth=2))) == unet2
+    synth3 = (block_layout("enc0", 2, 4) + block_layout("enc1", 4, 8)
+              + block_layout("enc2", 8, 16)
+              + block_layout("up1", 16, 8) + block_layout("dec1", 16, 8)
+              + block_layout("up0", 8, 4) + block_layout("dec0", 8, 4)
+              + [("out.w", (2, 4, 3, 3)), ("out.b", (2,))])
+    assert layout(SynthNet(SynthNetConfig(base_channels=4, depth=3))) \
+        == synth3
+    reg = (block_layout("enc0", 4, 4) + block_layout("enc1", 4, 8)
+           + [("fc1.w", (8, 128)), ("fc1.b", (8,)),
+              ("fc2.w", (3, 8)), ("fc2.b", (3,))])
+    assert layout(RegNet(RegNetConfig(in_size=16, channels=(4, 8),
+                                      fc_hidden=8))) == reg
+
+
+NETS = {"synth": (SynthNet, SynthNetConfig(base_channels=4, depth=2)),
+        "reg": (RegNet, RegNetConfig(in_size=16, channels=(4, 8),
+                                     fc_hidden=8)),
+        "recon": (ReconNet, ReconNetConfig(in_channels=4, base_channels=4,
+                                           depth=2))}
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["fresh", "loaded"])
+@pytest.mark.parametrize("kind", sorted(NETS))
+def test_no_net_sits_in_a_reference_cycle(kind, loaded):
+    # with the cyclic collector off, dropping the last reference must free
+    # a net and its ParamSet, even after a forward and backward pass
+    cls, config = NETS[kind]
+    params = None
+    if loaded:
+        params, _ = ParamSet.from_bytes(
+            cls(config, rng=rng_for(30)).params.to_bytes())
+    rng = np.random.default_rng(31)
+    cin = getattr(config, "in_channels", 2)
+    x = Tensor(rng.standard_normal((2, cin, 16, 16)).astype(np.float32))
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        net = cls(config, params=params, rng=rng_for(32))
+        out = net(x, x) if cls is RegNet else net(x)
+        mean_all(out).backward()
+        refs = [weakref.ref(net), weakref.ref(net.params)]
+        del net, out, params
+        assert [r() for r in refs] == [None, None]
+    finally:
+        if was_enabled:
+            gc.enable()
