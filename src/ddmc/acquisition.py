@@ -129,9 +129,9 @@ def data_consistency_channels(k_pred, y_u, mask):
 
     k_pred and y_u are [..., 2, H, W] channel stacks; y_u may be a Tensor
     or a plain ndarray (treated as constant).  mask is a SamplingMask or a
-    float row plane that broadcasts onto k_pred.  out = M * y_u +
-    (1 - M) * k_pred, so sampled rows of the output equal y_u bit for
-    bit and the op is idempotent.
+    float row plane that broadcasts onto k_pred (else scale_by raises
+    ShapeError).  out = M * y_u + (1 - M) * k_pred, so sampled rows of
+    the output equal y_u bit for bit and the op is idempotent.
     """
     measured = y_u if isinstance(y_u, Tensor) else Tensor(y_u)
     if measured.shape != k_pred.shape:
@@ -141,11 +141,4 @@ def data_consistency_channels(k_pred, y_u, mask):
         m = mask.plane(dtype=k_pred.data.dtype)
     else:
         m = np.asarray(mask, dtype=k_pred.data.dtype)
-    try:
-        fits = np.broadcast_shapes(k_pred.shape, m.shape) == k_pred.shape
-    except ValueError:
-        fits = False
-    if not fits:
-        raise ShapeError("data_consistency: mask plane %s does not broadcast "
-                         "onto %s" % (m.shape, k_pred.shape))
     return add(scale_by(measured, m), scale_by(k_pred, 1.0 - m))

@@ -21,8 +21,9 @@ from .errors import DdmcError, RecordFormatError, ValidationError
 from .evalkit import render_report
 from .kernels import steady_heap
 from .pipeline import (AGGREGATE_COLUMNS, Checkpoint, RECORD_METRIC_COLUMNS,
-                       RunLog, STAGES, cell_name, cell_plans, evaluate,
-                       run_ablation, train_stages, write_csv)
+                       RunLog, STAGES, cell_name, cell_plans,
+                       check_training, evaluate, run_ablation,
+                       train_stages, write_csv)
 
 
 class _UsageError(Exception):
@@ -174,10 +175,11 @@ def _cmd_train(args):
     stages = required if args.stage == "all" else (args.stage,)
     _no_clobber(args, [os.path.join(args.out, s + ".ckpt") for s in stages])
     dataset = Dataset.load(args.data)
-    cfg.write_snapshot(args.out)
-    run_log = RunLog(args.out, stages)
     prior = _load_checkpoints(args.out, [
         s for s in required if STAGES.index(s) < STAGES.index(stages[0])])
+    check_training(stages, dataset, plan, prior)  # before any write
+    cfg.write_snapshot(args.out)
+    run_log = RunLog(args.out, stages)
     checkpoints = train_stages(stages, dataset, plan, prior, seed, args.out,
                                run_log)
     run_log.finish(seed, plan.to_dict())
@@ -194,7 +196,6 @@ def _cmd_eval(args):
     dataset = Dataset.load(args.data)
     checkpoints = _load_checkpoints(args.ckpt_dir, plan.required_stages())
     result = evaluate(checkpoints, dataset, args.split, plan)
-    os.makedirs(args.out, exist_ok=True)
     cfg.write_snapshot(args.out)
     rows = result.aggregate_rows(plan)
     write_csv(out_paths[0], AGGREGATE_COLUMNS, rows)
@@ -245,6 +246,9 @@ def _cmd_ablate(args):
 
 
 def _cmd_render(args):
+    if not 0 < args.err_scale < float("inf"):
+        raise ValidationError("--err-scale must be a finite number > 0, "
+                              "got %r" % args.err_scale)
     cfg = _config_for(args)
     plan = cfg.stage_plan()
     _no_clobber(args, [os.path.join(args.out, "report.csv")])

@@ -403,44 +403,43 @@ def batchnorm2d(x, gamma, beta, run_mean, run_var, training):
         if t.shape != (c,):
             raise ShapeError("batchnorm2d: %s shape %s != (%d,)"
                              % (nm, t.shape, c))
+    mu = x.data.mean(axis=(0, 2, 3)) if training else run_mean.data
+    xhat = x.data - mu[None, :, None, None]
     if training:
-        mu = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))
+        # np.var's own steps: the mean of the squared centred input
+        var = (xhat * xhat).mean(axis=(0, 2, 3))
         run_mean.data[:] = (BN_MOMENTUM * run_mean.data
                             + (1 - BN_MOMENTUM) * mu)
         run_var.data[:] = BN_MOMENTUM * run_var.data + (1 - BN_MOMENTUM) * var
     else:
-        mu = run_mean.data
         var = run_var.data
     ivstd = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = x.data - mu[None, :, None, None]
     xhat *= ivstd[None, :, None, None]
     y = gamma.data[None, :, None, None] * xhat
     y += beta.data[None, :, None, None]
     m = x.shape[0] * x.shape[2] * x.shape[3]
 
     def bwd(g):
-        if gamma.requires_grad:
-            _accum(gamma, (g * xhat).sum(axis=(0, 2, 3)))
-        if beta.requires_grad:
-            _accum(beta, g.sum(axis=(0, 2, 3)))
+        # dbeta = sum(g) and dgamma = sum(g * xhat) also give the training
+        # input gradient, gamma/sigma * (g - dbeta/m - xhat * dgamma/m)
+        sums = training and x.requires_grad
+        if beta.requires_grad or sums:
+            g_sum = g.sum(axis=(0, 2, 3))
+            _accum(beta, g_sum)
+        if gamma.requires_grad or sums:
+            gx_sum = (g * xhat).sum(axis=(0, 2, 3))
+            _accum(gamma, gx_sum)
         if not x.requires_grad:
             return
-        gxh = g * gamma.data[None, :, None, None]
         if training:
-            xc = x.data - mu[None, :, None, None]
-            iv = ivstd[None, :, None, None]
-            gvar = (gxh * xc).sum(axis=(0, 2, 3)) * (-0.5) * ivstd ** 3
-            gmu = (-(gxh).sum(axis=(0, 2, 3)) * ivstd
-                   - gvar * 2.0 * xc.sum(axis=(0, 2, 3)) / m)
-            gx = gxh * iv
-            xc *= (gvar * 2.0 / m)[None, :, None, None]
-            gx += xc
-            gx += (gmu / m)[None, :, None, None]
-            _accum(x, gx)
+            gx = xhat * (gx_sum / m)[None, :, None, None]
+            np.subtract(g, gx, out=gx)
+            gx -= (g_sum / m)[None, :, None, None]
+            gx *= (gamma.data * ivstd)[None, :, None, None]
         else:
-            gxh *= ivstd[None, :, None, None]
-            _accum(x, gxh)
+            gx = g * gamma.data[None, :, None, None]
+            gx *= ivstd[None, :, None, None]
+        _accum(x, gx)
     return _result(y, (x, gamma, beta), bwd)
 
 

@@ -48,39 +48,37 @@ class ComplexImage:
         return np.stack([self.real.data, self.imag.data]).astype(np.float32)
 
 
-def _centred(fft2, re, im):
-    """fftshift . fft2 (orthonormal) . ifftshift of re + i im, back as a
-    (real, imag) pair in re's dtype."""
-    z = np.fft.ifftshift(re + 1j * im, axes=(-2, -1))
-    z = np.fft.fftshift(fft2(z, axes=(-2, -1), norm="ortho"), axes=(-2, -1))
-    return (np.ascontiguousarray(z.real.astype(re.dtype)),
-            np.ascontiguousarray(z.imag.astype(re.dtype)))
-
-
-def _fft2c_arrays(re, im):
-    return _centred(np.fft.fft2, re, im)
-
-
-def _ifft2c_arrays(re, im):
-    return _centred(np.fft.ifft2, re, im)
-
-
-def _on_planes(x, transform):
+def _centred(fft2, x):
+    """fftshift . fft2 (orthonormal) . ifftshift of a [..., 2, H, W]
+    re/im stack, back as a stack in x's dtype."""
     if x.shape[-3] != 2:
         raise ShapeError("channel transform needs size 2 on axis -3, got %d"
                          % x.shape[-3])
-    re, im = transform(x[..., 0, :, :], x[..., 1, :, :])
-    return np.stack([re, im], axis=-3)
+    z = np.fft.ifftshift(x[..., 0, :, :] + 1j * x[..., 1, :, :],
+                         axes=(-2, -1))
+    z = np.fft.fftshift(fft2(z, axes=(-2, -1), norm="ortho"), axes=(-2, -1))
+    out = np.empty(x.shape, x.dtype)
+    out[..., 0, :, :] = z.real
+    out[..., 1, :, :] = z.imag
+    return out
+
+
+def _fft2c_arrays(x):
+    return _centred(np.fft.fft2, x)
+
+
+def _ifft2c_arrays(x):
+    return _centred(np.fft.ifft2, x)
 
 
 def fft2c_stack(x):
     """Image -> centred orthonormal k-space, on a [..., 2, H, W] array."""
-    return _on_planes(x, _fft2c_arrays)
+    return _fft2c_arrays(x)
 
 
 def ifft2c_stack(x):
     """Centred orthonormal k-space -> image, on a [..., 2, H, W] array."""
-    return _on_planes(x, _ifft2c_arrays)
+    return _ifft2c_arrays(x)
 
 
 def _channels_transform(x, fwd, inv):

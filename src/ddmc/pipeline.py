@@ -46,11 +46,12 @@ the moved input is handled by equivariance.
 """
 
 import csv
+import hashlib
 import json
 import os
 import resource
 import time
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
@@ -116,6 +117,9 @@ class StagePlan:
             raise ValidationError("image_size must be a multiple of 16 so "
                                   "the registration pools land evenly, got "
                                   "%r" % self.image_size)
+        if self.depth < 2 or self.image_size % 2 ** (self.depth - 1):
+            raise ValidationError("need depth >= 2 with 2 ** (depth - 1) "
+                                  "dividing image_size, got %r" % self.depth)
         if min(self.base_channels, self.reg_fc_hidden,
                *self.reg_channels) < 1:
             raise ValidationError(
@@ -166,14 +170,9 @@ class Checkpoint:
     seed: int
     val_history: list
     finalised: bool
-    param_hashes: dict = field(default_factory=dict)
-
-    def compute_hashes(self):
-        self.param_hashes = {name: ps.content_hash()
-                             for name, ps in sorted(self.param_sets.items())}
-        return self.param_hashes
 
     def save(self, path):
+        blobs = {n: p.to_bytes() for n, p in sorted(self.param_sets.items())}
         header = {
             "format_version": CHECKPOINT_VERSION,
             "stage": self.stage,
@@ -181,15 +180,14 @@ class Checkpoint:
             "seed": self.seed,
             "val_history": self.val_history,
             "finalised": self.finalised,
-            "param_hashes": self.param_hashes,
-            "nets": sorted(self.param_sets),
+            "param_hashes": {n: hashlib.sha256(b).hexdigest()
+                             for n, b in blobs.items()},
+            "nets": list(blobs),
         }
-        blob = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
-        for name in sorted(self.param_sets):
-            blob += self.param_sets[name].to_bytes()
         tmp = path + ".tmp"
         with open(tmp, "wb") as f:
-            f.write(blob)
+            f.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+            f.writelines(blobs.values())
         os.replace(tmp, path)
 
     @classmethod
@@ -210,24 +208,23 @@ class Checkpoint:
                 % (header.get("format_version"), CHECKPOINT_VERSION))
         try:
             ck = cls(param_sets={}, **{k: header[k] for k in (
-                "stage", "config", "seed", "val_history", "finalised",
-                "param_hashes")})
+                "stage", "config", "seed", "val_history", "finalised")})
+            hashes = header["param_hashes"]
             names = header["nets"]
         except KeyError as e:
             raise CheckpointIntegrityError("header of %s lacks field %s"
                                            % (path, e)) from e
         offset = nl + 1
         for name in names:
+            start = offset
             ck.param_sets[name], offset = ParamSet.from_bytes(buf, offset)
+            if hashes.get(name) != hashlib.sha256(
+                    buf[start:offset]).hexdigest():
+                raise CheckpointIntegrityError(
+                    "parameter hash mismatch for %r in %s" % (name, path))
         if offset != len(buf):
             raise TruncatedFileError("%d trailing bytes in %s"
                                      % (len(buf) - offset, path))
-        for name, ps in ck.param_sets.items():
-            want = ck.param_hashes.get(name)
-            got = ps.content_hash()
-            if want != got:
-                raise CheckpointIntegrityError(
-                    "parameter hash mismatch for %r in %s" % (name, path))
         return ck
 
 
@@ -315,12 +312,22 @@ class _RecordTensors:
     k_ref_mv: np.ndarray = None
 
 
+def _split_records(dataset, split, plan):
+    """A split's records, refused if empty or sized unlike the plan."""
+    recs = dataset.split(split)
+    if not recs:
+        raise ValidationError("split %r is empty" % split)
+    for rec in recs:
+        h = rec.brain_mask.shape[0]
+        if h != plan.image_size:
+            raise ValidationError("record %d is %d px but the plan expects %d"
+                                  % (rec.record_id, h, plan.image_size))
+    return recs
+
+
 def prepare_record(rec, plan):
     """Build the constant tensors one record contributes to training."""
     h = rec.brain_mask.shape[0]
-    if h != plan.image_size:
-        raise ValidationError("record %d is %d px but the plan expects %d"
-                              % (rec.record_id, h, plan.image_size))
     mask = make_mask(h, plan.accel, n_center=plan.n_center,
                      sigma_frac=plan.sigma_frac,
                      seed=_sub_seed(plan.mask_seed, rec.record_id))
@@ -662,20 +669,18 @@ def _check_finite(loss, kind, stage, epoch, step):
                                  % (stage, epoch, step, kind, loss))
 
 
-def train_stage(stage, tables, plan, checkpoints, seed, out_dir, run_log):
+def train_stage(stage, tables, plan, seed, out_dir, run_log):
     """Train one stage against frozen predecessors; returns its
     Checkpoint, finalised with the best-validation parameters.
 
     `tables` holds the "train" and "val" record tables with the outputs
-    of every earlier required stage added, and `checkpoints` (stage ->
-    Checkpoint) those stages' finalised checkpoints.  Initialisation and
-    epoch shuffles derive from `seed`.  The checkpoint lands in
-    `out_dir` as <stage>.ckpt unless it is None; steps and epochs go to
-    `run_log` unless it is None.  Raises NonFiniteLossError, and writes
-    no checkpoint, when a step's or an epoch's validation loss is not
-    finite.
+    of every earlier required stage added; train_stages has checked the
+    stage order.  Initialisation and epoch shuffles derive from `seed`.
+    The checkpoint lands in `out_dir` as <stage>.ckpt unless it is None;
+    steps and epochs go to `run_log` unless it is None.  Raises
+    NonFiniteLossError, and writes no checkpoint, when a step's or an
+    epoch's validation loss is not finite.
     """
-    check_stage_order(stage, plan, checkpoints)
     stage_idx = STAGES.index(stage)
     train_in = compute_stage_inputs(stage, plan, tables["train"])
     val_in = compute_stage_inputs(stage, plan, tables["val"])
@@ -733,11 +738,19 @@ def train_stage(stage, tables, plan, checkpoints, seed, out_dir, run_log):
     ck = Checkpoint(stage=stage, param_sets=param_sets,
                     config=plan.to_dict(), seed=seed, val_history=history,
                     finalised=True)
-    ck.compute_hashes()
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         ck.save(os.path.join(out_dir, stage + ".ckpt"))
     return ck
+
+
+def check_training(stages, dataset, plan, checkpoints):
+    """Every check that can refuse train_stages, run before it writes
+    anything.  Returns (prior stages, {split: records})."""
+    plan.validate()
+    prior = check_stage_order(stages[0], plan, checkpoints)
+    return prior, {split: _split_records(dataset, split, plan)
+                   for split in ("train", "val")}
 
 
 def train_stages(stages, dataset, plan, checkpoints, seed, out_dir, run_log):
@@ -749,20 +762,14 @@ def train_stages(stages, dataset, plan, checkpoints, seed, out_dir, run_log):
     stage reads its inputs from them.  Arguments otherwise as for
     train_stage.  Returns {stage: Checkpoint} for the stages trained.
     """
-    plan.validate()
-    prior = check_stage_order(stages[0], plan, checkpoints)
-    recs = {split: dataset.split(split) for split in ("train", "val")}
-    if not recs["train"] or not recs["val"]:
-        raise ValidationError("training needs non-empty train and val "
-                              "splits, got %d/%d"
-                              % (len(recs["train"]), len(recs["val"])))
+    prior, recs = check_training(stages, dataset, plan, checkpoints)
     tables = {split: _record_table(r, plan) for split, r in recs.items()}
     checkpoints = dict(checkpoints)
     trained = {}
     for stage in prior + tuple(stages):
         if stage in stages:
             checkpoints[stage] = trained[stage] = train_stage(
-                stage, tables, plan, checkpoints, seed, out_dir, run_log)
+                stage, tables, plan, seed, out_dir, run_log)
         if stage != stages[-1]:
             nets = _nets_from_checkpoints(plan, checkpoints, (stage,))
             for table in tables.values():
@@ -823,9 +830,7 @@ def evaluate(checkpoints, dataset, split, plan, with_outputs=False):
     plan.validate()
     required = plan.required_stages()
     _check_checkpoints(required, plan, checkpoints, "evaluation")
-    recs = dataset.split(split)
-    if not recs:
-        raise ValidationError("split %r is empty" % split)
+    recs = _split_records(dataset, split, plan)
     nets = _nets_from_checkpoints(plan, checkpoints, required)
     table = _record_table(recs, plan)
     for stage in required[:-1]:

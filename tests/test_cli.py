@@ -162,6 +162,34 @@ def test_out_of_order_train_names_missing_stage(tmp_path, capsys):
     assert "synthesis" in err
 
 
+def test_refused_train_leaves_out_as_it_found_it(tmp_path, capsys):
+    # every check that can refuse a train call runs before it writes the
+    # snapshot or opens the logs
+    data, out = tmp_path / "data", tmp_path / "run"
+    assert run(["gen-data", "--out", data] + FAST) == 0
+    assert run(["train", "--data", data, "--out", out] + FAST) == 0
+    names = ("config_resolved.cfg", "train_steps.csv", "val_epochs.csv")
+    before = [(out / name).read_bytes() for name in names]
+    capsys.readouterr()
+    for extra, message in (
+            # the prior checkpoints were trained under another plan
+            (["--stage", "registration", "--set", "train.lr=1e-3"],
+             "different plan"),
+            # the records are 32 px
+            (["--set", "data.size=48"], "plan expects 48")):
+        assert run(["train", "--data", data, "--out", out] + FAST
+                   + extra) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and message in err[0]
+        assert [(out / name).read_bytes() for name in names] == before
+    # a fused reconstruction stage with no chain before it
+    fresh = tmp_path / "fresh"
+    assert run(["train", "--data", data, "--out", fresh,
+                "--stage", "reconstruction"] + FAST) == 2
+    assert "synthesis" in capsys.readouterr().err
+    assert not fresh.exists()
+
+
 def test_infeasible_acceleration_fails_before_any_output(tmp_path, capsys):
     # floor(32/16) = 2 rows cannot cover the 6-row centre block, so both
     # commands stop at validation and write no run
@@ -334,10 +362,13 @@ def test_negative_split_count_or_blur_is_refused(tmp_path, capsys):
 @pytest.mark.parametrize("setting", [
     "model.base_channels=0", "model.reg_channels=0",
     "model.reg_channels=4,-4", "model.reg_fc_hidden=-1",
-    "model.reg_fc_hidden=0", "mask.n_center=-2"])
+    "model.reg_fc_hidden=0", "mask.n_center=-2",
+    "model.depth=1", "model.depth=7"])
 def test_net_size_below_one_is_refused(tmp_path, capsys, setting):
     # a zero or negative width crashed the parameter init or built an
-    # empty layer, and a negative centre block mis-sized the mask
+    # empty layer, and a negative centre block mis-sized the mask; a
+    # U-Net depth below 2, or one whose pools do not divide the 32 px
+    # image, failed only when the first net was built
     data, out = tmp_path / "data", tmp_path / "run"
     assert run(["gen-data", "--out", data] + FAST) == 0
     capsys.readouterr()
@@ -346,6 +377,23 @@ def test_net_size_below_one_is_refused(tmp_path, capsys, setting):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("ddmc: validation:")
     assert setting.split(".")[1].split("=")[0] in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scale", ["nan", "-3", "0", "inf"])
+def test_bad_render_err_scale_is_refused(tmp_path, capsys, scale):
+    # a NaN scale cast NaN error maps to uint8 and a negative one drew
+    # all-black maps; both exited 0
+    data, ckpt, out = tmp_path / "data", tmp_path / "run", tmp_path / "render"
+    single = FAST + ["--set", "train.contrast_mode=single"]
+    assert run(["gen-data", "--out", data] + single) == 0
+    assert run(["train", "--data", data, "--out", ckpt] + single) == 0
+    capsys.readouterr()
+    assert run(["render", "--data", data, "--ckpt-dir", ckpt, "--out", out,
+                "--err-scale=" + scale] + single) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ddmc: validation:")
+    assert "--err-scale" in err[0]
     assert not out.exists()
 
 

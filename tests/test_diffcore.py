@@ -13,7 +13,7 @@ from ddmc.diffcore import (AdamState, ParamSet, Tensor, adam_step,
                            maxpool2x2, mean_all, mse, relu, reshape,
                            mul, scale_by, sum_all, upsample2x)
 from ddmc.diffcore.init import bn_param, conv_param, fc_param
-from ddmc.diffcore.tensor import warp_rigid
+from ddmc.diffcore.tensor import BN_EPS, BN_MOMENTUM, warp_rigid
 from ddmc.errors import (GraphError, OptimizerError, ParamError,
                          RecordFormatError, ShapeError, TruncatedFileError)
 
@@ -194,23 +194,58 @@ def test_gradcheck_pool_upsample_fc():
 
 
 def test_gradcheck_batchnorm_train_and_eval():
+    # gamma is drawn with a negative entry and beta at random, so a
+    # gradient that drops or misplaces either one fails; the x-only case
+    # takes the input gradient with no parameter gradient asked for
     rng = np.random.default_rng(8)
-    x = Tensor(rng.standard_normal((3, 2, 4, 4)), requires_grad=True)
-    tgt = Tensor(rng.standard_normal((3, 2, 4, 4)))
+    x = Tensor(rng.standard_normal((3, 3, 4, 4)), requires_grad=True)
+    tgt = Tensor(rng.standard_normal((3, 3, 4, 4)))
 
     for training in (True, False):
-        gamma = Tensor(np.ones(2), requires_grad=True)
-        beta = Tensor(np.zeros(2), requires_grad=True)
-        rmean = Tensor(rng.standard_normal(2) * 0.1)
-        rvar = Tensor(np.abs(rng.standard_normal(2)) + 0.5)
+        for x_only in (False, True):
+            gamma = Tensor(rng.uniform(0.5, 2.0, 3) * np.array([1, -1, 1]),
+                           requires_grad=not x_only)
+            beta = Tensor(rng.standard_normal(3), requires_grad=not x_only)
+            rmean = Tensor(rng.standard_normal(3) * 0.1)
+            rvar = Tensor(np.abs(rng.standard_normal(3)) + 0.5)
 
-        def fn(*_):
-            return mse(batchnorm2d(x, gamma, beta,
-                                   Tensor(rmean.data.copy()),
-                                   Tensor(rvar.data.copy()),
-                                   training), tgt)
+            def fn(*_):
+                return mse(batchnorm2d(x, gamma, beta,
+                                       Tensor(rmean.data.copy()),
+                                       Tensor(rvar.data.copy()),
+                                       training), tgt)
 
-        assert grad_check(fn, [x, gamma, beta], n_samples=30, rng=rng) < 1e-5
+            inputs = [x] if x_only else [x, gamma, beta]
+            assert grad_check(fn, inputs, n_samples=30, rng=rng) < 1e-5
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batchnorm_training_forward_matches_np_var(dtype):
+    # the output and both running buffers, bit for bit, against a
+    # reference that takes the batch variance from np.var
+    rng = np.random.default_rng(12)
+    for shape in ((8, 16, 32, 32), (3, 5, 8, 8), (2, 4, 7, 9)):
+        c = shape[1]
+        x = (rng.standard_normal(shape) * 3.0 + 1.5).astype(dtype)
+        gamma = rng.standard_normal(c).astype(dtype)
+        beta = rng.standard_normal(c).astype(dtype)
+        rmean = (rng.standard_normal(c) * 0.1).astype(dtype)
+        rvar = (np.abs(rng.standard_normal(c)) + 0.5).astype(dtype)
+        rmean_t, rvar_t = Tensor(rmean.copy()), Tensor(rvar.copy())
+        y = batchnorm2d(Tensor(x), Tensor(gamma), Tensor(beta), rmean_t,
+                        rvar_t, training=True)
+
+        mu = x.mean(axis=(0, 2, 3))
+        var = x.var(axis=(0, 2, 3))
+        ivstd = 1.0 / np.sqrt(var + BN_EPS)
+        want = ((x - mu[None, :, None, None]) * ivstd[None, :, None, None]
+                * gamma[None, :, None, None] + beta[None, :, None, None])
+        assert y.data.dtype == dtype
+        assert np.array_equal(y.data, want)
+        assert np.array_equal(
+            rmean_t.data, BN_MOMENTUM * rmean + (1 - BN_MOMENTUM) * mu)
+        assert np.array_equal(
+            rvar_t.data, BN_MOMENTUM * rvar + (1 - BN_MOMENTUM) * var)
 
 
 def test_batchnorm_normalises_batch_statistics():
