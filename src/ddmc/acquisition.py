@@ -30,10 +30,6 @@ class SamplingMask:
             raise ShapeError("mask rows %s != height %d"
                              % (self.sampled.shape, self.height))
 
-    @property
-    def n_sampled(self):
-        return int(self.sampled.sum())
-
     def row_indices(self):
         return np.flatnonzero(self.sampled)
 
@@ -46,24 +42,6 @@ class SamplingMask:
         with open(path, "w") as f:
             f.write("%d %d %d\n%s\n" % (self.height, self.acceleration,
                                         self.seed, rows))
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as f:
-            lines = f.read().split("\n")
-        try:
-            h, r, seed = (int(v) for v in lines[0].split())
-            rows = [int(v) for v in lines[1].split()]
-        except (IndexError, ValueError) as e:
-            raise ValidationError("unreadable mask file %s: %s"
-                                  % (path, e)) from e
-        if rows != sorted(rows):
-            raise ValidationError("mask rows must be ascending in %s" % path)
-        sampled = np.zeros(h, dtype=bool)
-        if rows and (rows[0] < 0 or rows[-1] >= h):
-            raise ValidationError("mask row out of range in %s" % path)
-        sampled[rows] = True
-        return cls(height=h, sampled=sampled, acceleration=r, seed=seed)
 
 
 # Rows H/2-3 .. H/2+2 are always kept: the low-frequency band that
@@ -124,21 +102,17 @@ def make_mask(height, acceleration, n_center=CENTER_ROWS, sigma_frac=0.25,
                         acceleration=acceleration, seed=seed)
 
 
-def data_consistency_channels(k_pred, y_u, mask):
+def data_consistency_channels(k_pred, y_u, plane):
     """Replace predicted k-space rows with measured ones where sampled.
 
-    k_pred and y_u are [..., 2, H, W] channel stacks; y_u may be a Tensor
-    or a plain ndarray (treated as constant).  mask is a SamplingMask or a
-    float row plane that broadcasts onto k_pred (else scale_by raises
-    ShapeError).  out = M * y_u + (1 - M) * k_pred, so sampled rows of
-    the output equal y_u bit for bit and the op is idempotent.
+    k_pred is a [..., 2, H, W] Tensor, y_u the measured ndarray of its
+    shape and plane the mask's row plane (SamplingMask.plane), which
+    must broadcast onto k_pred (else scale_by raises ShapeError).
+    out = M * y_u + (1 - M) * k_pred, so sampled rows of the output
+    equal y_u bit for bit and the op is idempotent.
     """
-    measured = y_u if isinstance(y_u, Tensor) else Tensor(y_u)
-    if measured.shape != k_pred.shape:
+    if y_u.shape != k_pred.shape:
         raise ShapeError("data_consistency: predicted %s vs measured %s"
-                         % (k_pred.shape, measured.shape))
-    if isinstance(mask, SamplingMask):
-        m = mask.plane(dtype=k_pred.data.dtype)
-    else:
-        m = np.asarray(mask, dtype=k_pred.data.dtype)
-    return add(scale_by(measured, m), scale_by(k_pred, 1.0 - m))
+                         % (k_pred.shape, y_u.shape))
+    m = np.asarray(plane, dtype=k_pred.data.dtype)
+    return add(scale_by(Tensor(y_u), m), scale_by(k_pred, 1.0 - m))

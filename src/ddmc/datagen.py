@@ -207,6 +207,11 @@ def write_record(rec, path):
         f.write(bytes(out))
 
 
+def _is_id(v):
+    """Whether v is an integer >= 0, as record ids and seeds are."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
 def read_record(path):
     with open(path, "rb") as f:
         buf = f.read()
@@ -240,6 +245,9 @@ def read_record(path):
     except (ValueError, TypeError) as e:
         raise RecordFormatError("malformed header in %s: %s"
                                 % (path, e)) from e
+    if not (_is_id(record_id) and _is_id(seed)):
+        raise RecordFormatError("record_id %r or seed %r in %s is not an "
+                                "integer >= 0" % (record_id, seed, path))
     if not (isinstance(h, int) and isinstance(w, int) and h > 0 and w > 0):
         raise RecordFormatError("bad height %r or width %r in %s"
                                 % (h, w, path))
@@ -291,10 +299,17 @@ class DatasetManifest:
         with open(path, "rb") as f:
             raw = f.read()
         try:
-            return cls(**json.loads(raw))
+            man = cls(**json.loads(raw))
         except (ValueError, TypeError) as e:
             raise RecordFormatError("malformed manifest %s: %s"
                                     % (path, e)) from e
+        splits = man.splits
+        if not (isinstance(splits, dict) and all(
+                isinstance(ids, list) and all(map(_is_id, ids))
+                for ids in splits.values())):
+            raise RecordFormatError("malformed manifest %s: splits %r is not "
+                                    "{split: [record ids]}" % (path, splits))
+        return man
 
 
 def record_path(root, record_id):

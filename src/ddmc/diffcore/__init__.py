@@ -1,7 +1,7 @@
 """Autodiff engine: tensors, ops, parameters, Adam, gradient checks."""
 
-from .tensor import (Tensor, add, sub, mul, scale_by, square, relu,
-                     sum_all, mean_all, mse, reshape, concat_channels,
+from .tensor import (Tensor, add, sub, scale_by, square, relu,
+                     mean_all, mse, reshape, concat_channels,
                      magnitude_channels, conv2d, maxpool2x2, upsample2x,
                      fully_connected, batchnorm2d, warp_rigid,
                      backward_split)
@@ -11,8 +11,8 @@ from .init import kaiming_uniform, conv_param, fc_param, bn_param
 from .gradcheck import grad_check
 
 __all__ = [
-    "Tensor", "add", "sub", "mul", "scale_by", "square", "relu",
-    "sum_all", "mean_all", "mse", "reshape", "concat_channels",
+    "Tensor", "add", "sub", "scale_by", "square", "relu",
+    "mean_all", "mse", "reshape", "concat_channels",
     "magnitude_channels", "conv2d", "maxpool2x2", "upsample2x",
     "fully_connected", "batchnorm2d", "warp_rigid", "backward_split",
     "ParamSet", "MAGIC", "FORMAT_VERSION", "AdamState", "adam_step",

@@ -59,12 +59,6 @@ class ParamSet:
         except KeyError:
             raise ParamError("unknown parameter %r" % name) from None
 
-    def __contains__(self, name):
-        return name in self._tensors
-
-    def __len__(self):
-        return len(self._tensors)
-
     def items(self):
         return list(self._tensors.items())
 

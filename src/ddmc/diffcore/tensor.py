@@ -5,9 +5,10 @@ op that produced it as a backward closure.  Calling backward() on a
 scalar output topologically sorts the graph and pushes gradients to
 every tensor that requires them; backward_split does the same in one
 job per given root, so that disjoint subgraphs, such as two nets that
-meet only in the loss, can backpropagate at once.  Ops are module-level functions; the
-set is deliberately small (exactly what the networks and losses need)
-and every op validates shapes eagerly, naming the offending axis.
+meet only in the loss, can backpropagate at once.  Ops are module-level
+functions, exactly those the networks and losses run; Tensor's only
+operator sugar is the l + a * m of a weighted loss sum.  Every op
+validates shapes eagerly, naming the offending axis.
 
 Float policy: training runs float32, gradient checks run float64; ops
 preserve the dtype they are given.
@@ -43,10 +44,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def zero_grad(self):
         self.grad = np.zeros_like(self.data) if not self._parents else None
 
@@ -56,31 +53,11 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         _run_nodes(order)
 
-    # Arithmetic sugar; the real work is in the module-level ops.
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale_by(self, -1.0)
-
-    def sum(self):
-        return sum_all(self)
-
-    def mean(self):
-        return mean_all(self)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
+    def __rmul__(self, c):
+        return scale_by(self, float(c))
 
     def __repr__(self):
         return "Tensor(shape=%s, dtype=%s, requires_grad=%s)" % (
@@ -194,12 +171,6 @@ def _check_same_shape(a, b, op):
 
 
 def add(a, b):
-    if not isinstance(b, Tensor):
-        s = float(b)
-
-        def bwd(g):
-            _accum(a, g)
-        return _result(a.data + s, (a,), bwd)
     _check_same_shape(a, b, "add")
 
     def bwd(g):
@@ -209,25 +180,12 @@ def add(a, b):
 
 
 def sub(a, b):
-    if not isinstance(b, Tensor):
-        return add(a, -float(b))
     _check_same_shape(a, b, "sub")
 
     def bwd(g):
         _accum(a, g)
         _accum(b, -g)
     return _result(a.data - b.data, (a, b), bwd)
-
-
-def mul(a, b):
-    if not isinstance(b, Tensor):
-        return scale_by(a, float(b))
-    _check_same_shape(a, b, "mul")
-
-    def bwd(g):
-        _accum(a, g * b.data)
-        _accum(b, g * a.data)
-    return _result(a.data * b.data, (a, b), bwd)
 
 
 def scale_by(x, c):
@@ -263,12 +221,6 @@ def relu(x):
     def bwd(g):
         _accum(x, g * mask)
     return _result(K.zero_unless(x.data, mask), (x,), bwd)
-
-
-def sum_all(x):
-    def bwd(g):
-        _accum(x, np.broadcast_to(g, x.shape))
-    return _result(np.asarray(x.data.sum()), (x,), bwd)
 
 
 def mean_all(x):
@@ -444,12 +396,17 @@ def batchnorm2d(x, gamma, beta, run_mean, run_var, training):
 
 
 def warp_rigid(x, params):
-    """Warp [N, C, H, W] by per-sample rigid params.
+    """Warp a constant [N, C, H, W] image by per-sample rigid params.
 
     params is a [N, 3] tensor of (tx, ty, theta): translation in pixels,
     rotation in radians about the image centre, bilinear sampling with
-    zero fill.  Differentiable in both the image and the parameters.
+    zero fill.  Differentiable in the parameters only; an image that
+    requires a gradient is refused with GraphError, since none would
+    reach it.
     """
+    if x.requires_grad:
+        raise GraphError("warp_rigid: the image must be a constant, got "
+                         "one that requires a gradient")
     if x.data.ndim != 4:
         raise ShapeError("warp_rigid expects x[N,C,H,W], got %s" % (x.shape,))
     if params.shape != (x.shape[0], 3):
@@ -459,10 +416,6 @@ def warp_rigid(x, params):
     y = K.warp_forward(x.data, p)
 
     def bwd(g):
-        gx, gp = K.warp_backward(x.data, p, g,
-                                 need_input_grad=x.requires_grad)
-        if x.requires_grad:
-            _accum(x, gx)
-        if params.requires_grad:
-            _accum(params, gp.astype(params.data.dtype, copy=False))
-    return _result(y, (x, params), bwd)
+        gp = K.warp_backward(x.data, p, g)
+        _accum(params, gp.astype(params.data.dtype, copy=False))
+    return _result(y, (params,), bwd)

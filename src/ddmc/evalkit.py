@@ -135,20 +135,15 @@ def ssim(a, b, mask):
 
 
 def metrics(a, b, mask):
-    """PSNR and SSIM in one result for 2-D images.  For [N, H, W]
-    stacks, a list of one result per image, each equal to the result of
-    that image alone: the SSIM windows filter the whole stack at once,
-    and each image's masked means are taken on their own."""
-    stacked = np.ndim(a) == 3
-    am, bm, m = _checked(a, b, mask, 3 if stacked else 2, "metrics")
-    if not stacked:
-        am, bm, m = am[None], bm[None], m[None]
+    """PSNR and SSIM of [N, H, W] stacks, one result per image, equal to
+    psnr and ssim of that image alone.  The SSIM windows filter the
+    whole stack at once; each image's masked means are its own."""
+    am, bm, m = _checked(a, b, mask, 3, "metrics")
     smaps, centres = _ssim_maps(am, bm, m)
-    results = [MetricResult(psnr=_psnr(am[i], bm[i], m[i]),
-                            ssim=float(smaps[i][centres[i]].mean()),
-                            n_pixels=int(m[i].sum()))
-               for i in range(len(am))]
-    return results if stacked else results[0]
+    return [MetricResult(psnr=_psnr(am[i], bm[i], m[i]),
+                         ssim=float(smaps[i][centres[i]].mean()),
+                         n_pixels=int(m[i].sum()))
+            for i in range(len(am))]
 
 
 def write_pgm(path, img01):

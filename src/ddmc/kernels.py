@@ -282,11 +282,9 @@ def warp_forward(x, p):
     return out
 
 
-def warp_backward(x, p, gy, need_input_grad=True):
-    """Gradients of warp_forward w.r.t. input and per-sample params.
-
-    Returns (gx or None, gp), gp the [N, 3] gradient of the rows p.
-    """
+def warp_backward(x, p, gy):
+    """Gradient of warp_forward w.r.t. its [N, 3] param rows p, given
+    the output gradient gy.  The image x is a constant of the warp."""
     n, c, h, w = x.shape
     sx, sy, cx, cy, cth, sth = _sample_coords(h, w, p, x.dtype.type)
     fx, fy, taps = _corners(sx, sy, x.shape)
@@ -305,14 +303,7 @@ def warp_backward(x, p, gy, need_input_grad=True):
     gtx = (gsx * (-ct) + gsy * st).sum(axis=(1, 2))
     gty = (gsx * (-st) + gsy * (-ct)).sum(axis=(1, 2))
     gth = (gsx * (sy - cy) - gsy * (sx - cx)).sum(axis=(1, 2))
-
-    gx = None
-    if need_input_grad:
-        gx = np.zeros_like(x)
-        wgt = [(1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy]
-        for wc, (ins, pix) in zip(wgt, taps):
-            np.add.at(gx.ravel(), pix, (wc * ins)[:, None] * gy)
-    return gx, np.stack([gtx, gty, gth], axis=1).astype(x.dtype)
+    return np.stack([gtx, gty, gth], axis=1).astype(x.dtype)
 
 
 def upsample2x_forward(x):

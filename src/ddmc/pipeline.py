@@ -214,6 +214,13 @@ class Checkpoint:
         except KeyError as e:
             raise CheckpointIntegrityError("header of %s lacks field %s"
                                            % (path, e)) from e
+        if not isinstance(hashes, dict):
+            raise CheckpointIntegrityError(
+                "param_hashes in %s is %r, not an object" % (path, hashes))
+        if not (isinstance(names, list)
+                and all(isinstance(n, str) for n in names)):
+            raise CheckpointIntegrityError(
+                "nets in %s is %r, not a list of names" % (path, names))
         offset = nl + 1
         for name in names:
             start = offset

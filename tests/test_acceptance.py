@@ -137,7 +137,7 @@ def test_criterion_2_acquisition():
     with criterion(2, "acquisition suite"):
         for h, r in ((192, 4), (192, 8), (64, 4), (64, 8)):
             m = make_mask(h, r, seed=9)
-            assert m.n_sampled == h // r
+            assert int(m.sampled.sum()) == h // r
             lo = h // 2 - 3
             assert m.sampled[lo:lo + 6].all()
 
@@ -151,8 +151,8 @@ def test_criterion_2_acquisition():
         x_ch = ifft2c_stack(y_ch)
 
         pred = Tensor(fft2c_stack(x_ch))
-        once = data_consistency_channels(pred, y_ch, mask)
-        twice = data_consistency_channels(once, y_ch, mask)
+        once = data_consistency_channels(pred, y_ch, mask.plane())
+        twice = data_consistency_channels(once, y_ch, mask.plane())
         assert np.array_equal(once.data, twice.data)
 
         # every reconstruction output keeps the measured rows < 1e-6
@@ -167,7 +167,7 @@ def test_criterion_2_acquisition():
             out = forward_stage("reconstruction", image_plan,
                                 {"recon_image": net},
                                 {"in_image": inputs, "y_u": y_ch,
-                                 "plane": mask})
+                                 "plane": mask.plane()})
             k_out = fft2c_channels(out["image"]).data
             err = np.max(np.abs(k_out[..., rows, :] - y_ch[..., rows, :]))
             assert err < 1e-6
@@ -179,7 +179,7 @@ def test_criterion_2_acquisition():
                                       domain_mode="kspace"),
                               {"recon_kspace": k_net},
                               {"in_kspace": y_ch, "y_u": y_ch,
-                               "plane": mask})["kspace"].data
+                               "plane": mask.plane()})["kspace"].data
         assert np.array_equal(k_out[..., rows, :], y_ch[..., rows, :])
 
 

@@ -5,8 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ddmc.acquisition import (SamplingMask, data_consistency_channels,
-                              make_mask)
+from ddmc.acquisition import data_consistency_channels, make_mask
 from ddmc.config import default_config
 from ddmc.datagen import ContrastPairRecord
 from ddmc.diffcore import Tensor, concat_channels, grad_check, mse
@@ -48,7 +47,7 @@ def prepared(rng, h, w, accel, n_center=6):
 @pytest.mark.parametrize("h,r", [(192, 4), (192, 8), (64, 4), (64, 8)])
 def test_mask_budget_and_centre(h, r):
     m = make_mask(h, r, seed=3)
-    assert m.n_sampled == h // r
+    assert int(m.sampled.sum()) == h // r
     lo = h // 2 - 3
     assert m.sampled[lo:lo + 6].all()
 
@@ -80,25 +79,15 @@ def test_negative_n_center_is_refused():
 
 
 def test_mask_save_load_roundtrip(tmp_path):
+    # the file is "height accel seed" then the ascending sampled rows
     m = make_mask(64, 4, seed=5)
     path = tmp_path / "mask.txt"
     m.save(path)
-    back = SamplingMask.load(path)
-    assert back.height == 64 and back.acceleration == 4 and back.seed == 5
-    assert np.array_equal(back.sampled, m.sampled)
-
-
-def test_mask_load_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("64 4\n1 2 3\n")
-    with pytest.raises(ValidationError):
-        SamplingMask.load(path)
-    path.write_text("64 4 5\n3 2 1\n")
-    with pytest.raises(ValidationError):
-        SamplingMask.load(path)
-    path.write_text("64 4 5\n1 2 99\n")
-    with pytest.raises(ValidationError):
-        SamplingMask.load(path)
+    head, rows = path.read_text().splitlines()
+    assert head == "64 4 5"
+    back = np.zeros(64, dtype=bool)
+    back[[int(v) for v in rows.split()]] = True
+    assert np.array_equal(back, m.sampled)
 
 
 def test_undersample_zeroes_complement():
@@ -119,7 +108,7 @@ def test_data_consistency_matches_loop_oracle():
     k_pred = random_k(rng)
     m = make_mask(16, 4, n_center=4, seed=2)
     y_u = random_k(rng) * m.plane(np.float64)
-    out = data_consistency_channels(Tensor(k_pred), y_u, m).data
+    out = data_consistency_channels(Tensor(k_pred), y_u, m.plane()).data
     for c in range(2):
         assert np.array_equal(out[0, c],
                               dc_loops(k_pred[0, c], y_u[0, c], m.sampled))
@@ -130,8 +119,8 @@ def test_data_consistency_idempotent_bit_exact():
     k_pred = random_k(rng)
     y_u = random_k(rng)
     m = make_mask(16, 4, n_center=4, seed=4)
-    once = data_consistency_channels(Tensor(k_pred), y_u, m)
-    twice = data_consistency_channels(once, y_u, m)
+    once = data_consistency_channels(Tensor(k_pred), y_u, m.plane())
+    twice = data_consistency_channels(once, y_u, m.plane())
     assert np.array_equal(once.data, twice.data)
     # sampled rows equal the measurement bit for bit
     rows = m.row_indices()
@@ -143,10 +132,10 @@ def test_data_consistency_shape_checks():
     m = make_mask(16, 4, n_center=4, seed=0)
     with pytest.raises(ShapeError):
         data_consistency_channels(Tensor(random_k(rng, h=12)),
-                                  random_k(rng, h=12), m)
+                                  random_k(rng, h=12), m.plane())
     with pytest.raises(ShapeError):
         data_consistency_channels(Tensor(random_k(rng)),
-                                  random_k(rng, h=12), m)
+                                  random_k(rng, h=12), m.plane())
 
 
 def test_data_consistency_gradient_blocks_sampled_rows():
@@ -160,7 +149,8 @@ def test_data_consistency_gradient_blocks_sampled_rows():
                                  rng.standard_normal((1, 1, 16, 12))], 1))
 
     def fn(*_):
-        out = data_consistency_channels(concat_channels([re, im]), y_u, m)
+        out = data_consistency_channels(concat_channels([re, im]), y_u,
+                                        m.plane())
         return mse(out, tgt)
 
     assert grad_check(fn, [re, im], n_samples=30,
@@ -175,6 +165,6 @@ def test_reconstruction_round_trip_keeps_sampled_rows():
     # of the result match the measured lines to float32 round-off
     rt = prepared(np.random.default_rng(10), 64, 64, 4)
     pred = Tensor(fft2c_stack(rt.x_u))
-    out = data_consistency_channels(pred, rt.y_u, rt.mask).data
+    out = data_consistency_channels(pred, rt.y_u, rt.plane).data
     rows = rt.mask.row_indices()
     assert np.max(np.abs(out[:, rows] - rt.y_u[:, rows])) < 1e-6

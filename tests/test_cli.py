@@ -420,7 +420,16 @@ def test_bad_ddmc_threads_refuses_ablation_before_writing(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("text", ["not json", '{"size": 32}'])
+MANIFEST = {"size": 32, "seed": 0, "n_structures": 3, "blur_sigma": 0.7,
+            "rot_range": 10.0, "trans_range": 15.0, "mm_per_px": 6.0}
+
+
+# splits must be {split: [record ids]}, ids integers >= 0
+@pytest.mark.parametrize("text", ["not json", '{"size": 32}'] + [
+    pytest.param(json.dumps(dict(MANIFEST, splits=splits)), id=name)
+    for name, splits in (("splits-list", []), ("split-int", {"train": 0}),
+                         ("id-str", {"train": [0, "1"]}),
+                         ("id-negative", {"train": [-1]}))])
 def test_malformed_manifest_is_io_error(tmp_path, capsys, text):
     data = tmp_path / "data"
     data.mkdir()
@@ -429,20 +438,25 @@ def test_malformed_manifest_is_io_error(tmp_path, capsys, text):
                + FAST) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("ddmc: io: malformed manifest")
+    assert not (tmp_path / "run").exists()
 
 
 def test_malformed_record_header_is_io_error(tmp_path, capsys):
-    # a record header that is not JSON, lacks true_motion, or holds a
-    # NaN true_motion
+    # a record header that is not JSON, lacks true_motion, holds a
+    # record_id or seed that is not an integer >= 0, or holds a NaN
+    # true_motion; each is refused before train writes into --out
     data = tmp_path / "data"
     assert run(["gen-data", "--out", data] + FAST) == 0
     path = record_path(str(data), 0)
     raw = open(path, "rb").read()
     hlen, = struct.unpack("<I", raw[6:10])
     header = json.loads(raw[10:10 + hlen])
+    bad = [dict(header, record_id="zero"), dict(header, record_id=0.0),
+           dict(header, seed=-1), dict(header, seed=None)]
     del header["true_motion"]
     bodies = [raw[:6] + struct.pack("<I", len(hb)) + hb + raw[10 + hlen:]
-              for hb in (b"not json", json.dumps(header).encode())]
+              for hb in [b"not json"] + [json.dumps(h).encode()
+                                         for h in [header] + bad]]
     rec = Dataset.load(str(data)).records[0]
     write_record(replace(rec, true_motion=np.array([np.nan, 0.0, 0.0])),
                  path)
@@ -455,6 +469,7 @@ def test_malformed_record_header_is_io_error(tmp_path, capsys):
                    + FAST) == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("ddmc: io:"), err
+        assert not (tmp_path / "run").exists()
 
 
 def test_ablate_no_clobber_refuses_metrics_and_cell_dirs(tmp_path, capsys):

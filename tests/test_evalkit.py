@@ -169,9 +169,9 @@ def test_ssim_window_fit():
 
 def test_metrics_bundle():
     rng = np.random.default_rng(7)
-    a = rng.uniform(0, 1, (32, 32))
-    mask = full_mask()
-    r = metrics(a, a.copy(), mask)
+    a = rng.uniform(0, 1, (1, 32, 32))
+    mask = full_mask()[None]
+    r, = metrics(a, a.copy(), mask)
     assert isinstance(r, MetricResult)
     assert r.psnr == PSNR_CAP and r.ssim == 1.0
     assert r.n_pixels == 32 * 32
@@ -179,7 +179,7 @@ def test_metrics_bundle():
 
 def test_stacked_metrics_equal_each_image_alone():
     # float64 stacks of varied images and masks: every result is the
-    # bits psnr, ssim and the 2-D metrics give for its image alone
+    # bits psnr, ssim and a one-image stack give for its image alone
     rng = np.random.default_rng(8)
     a = rng.uniform(0, 1, (5, 32, 32))
     b = np.clip(a + 0.05 * rng.standard_normal(a.shape), 0, 1)
@@ -192,7 +192,7 @@ def test_stacked_metrics_equal_each_image_alone():
         assert r == MetricResult(psnr=psnr(a[i], b[i], masks[i]),
                                  ssim=ssim(a[i], b[i], masks[i]),
                                  n_pixels=int(masks[i].sum()))
-        assert r == metrics(a[i], b[i], masks[i])
+        assert [r] == metrics(a[i:i + 1], b[i:i + 1], masks[i:i + 1])
     assert got[2].psnr == PSNR_CAP
 
 

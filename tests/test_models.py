@@ -160,7 +160,7 @@ def test_recon_forward_applies_data_consistency():
     batch = {"in_image": np.concatenate([small_image(rng), x_u], axis=1),
              "in_kspace": np.concatenate(
                  [fft2c_stack(small_image(rng)), y_u], axis=1),
-             "y_u": y_u, "plane": mask}
+             "y_u": y_u, "plane": mask.plane()}
     out = forward_stage("reconstruction",
                         replace(default_config().stage_plan(),
                                 domain_mode="dual"), nets, batch)

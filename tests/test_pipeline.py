@@ -271,6 +271,13 @@ def test_checkpoint_header_missing_a_field_is_refused(tmp_path):
         with pytest.raises(CheckpointIntegrityError) as exc:
             Checkpoint.load(path)
         assert "lacks field '%s'" % missing in str(exc.value)
+    # param_hashes that is not an object, nets not a list of names
+    for field, value in (("param_hashes", []), ("param_hashes", "ab"),
+                         ("nets", 5), ("nets", [None])):
+        open(path, "w").write(json.dumps(dict(header, **{field: value}))
+                              + "\n")
+        with pytest.raises(CheckpointIntegrityError, match=field):
+            Checkpoint.load(path)
     # a header that is JSON but not an object
     for text in ("[]", "3"):
         open(path, "w").write(text + "\n")
